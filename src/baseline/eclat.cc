@@ -14,6 +14,32 @@ struct TidList {
   std::vector<uint32_t> tids;  // ascending transaction positions
 };
 
+/// Writes the intersection of the ascending lists `a` and `b` to `out` and
+/// returns whether it holds at least `tau` positions. Gives up as soon as
+/// the positions left to merge can no longer lift it to `tau`: most
+/// extensions are infrequent, so most merges stop early.
+bool IntersectAtLeast(const std::vector<uint32_t>& a,
+                      const std::vector<uint32_t>& b, uint64_t tau,
+                      std::vector<uint32_t>* out) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (out->size() + std::min(a.size() - i, b.size() - j) < tau) {
+      return false;
+    }
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      out->push_back(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+  return out->size() >= tau;
+}
+
 /// Depth-first extension with narrowed sibling lists: each node carries the
 /// tid-lists of the extensions that stayed frequent at its parent.
 class EclatWalk {
@@ -36,11 +62,10 @@ class EclatWalk {
         ++stats_->extension_tests;
         TidList child;
         child.item = (*siblings)[j].item;
-        std::set_intersection((*siblings)[j].tids.begin(),
-                              (*siblings)[j].tids.end(), node.tids.begin(),
-                              node.tids.end(),
-                              std::back_inserter(child.tids));
-        if (child.tids.size() >= tau_) children.push_back(std::move(child));
+        if (IntersectAtLeast((*siblings)[j].tids, node.tids, tau_,
+                             &child.tids)) {
+          children.push_back(std::move(child));
+        }
       }
       if (!children.empty()) Recurse(&children);
       current_.pop_back();
@@ -56,8 +81,7 @@ class EclatWalk {
 
 }  // namespace
 
-MiningResult MineEclat(const TransactionDatabase& db,
-                       const EclatConfig& config) {
+MiningResult MineEclat(const DatabaseView& db, const EclatConfig& config) {
   Stopwatch total_timer;
   MiningResult result;
   MineStats& stats = result.stats;
@@ -86,6 +110,11 @@ MiningResult MineEclat(const TransactionDatabase& db,
   EclatWalk(tau, &stats, &result.patterns).Recurse(&roots);
   stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
+}
+
+MiningResult MineEclat(const TransactionDatabase& db,
+                       const EclatConfig& config) {
+  return MineEclat(db.Prefix(), config);
 }
 
 }  // namespace bbsmine

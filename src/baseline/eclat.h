@@ -21,8 +21,11 @@ struct EclatConfig {
   double min_support = 0.003;
 };
 
-/// Mines all frequent patterns of `db` with Eclat. Supports are exact; one
-/// database scan builds the vertical representation.
+/// Mines all frequent patterns of the prefix `db` with Eclat. Supports are
+/// exact; one scan of the prefix builds the vertical representation.
+MiningResult MineEclat(const DatabaseView& db, const EclatConfig& config);
+
+/// The same over the whole database: MineEclat(db.Prefix(), config).
 MiningResult MineEclat(const TransactionDatabase& db,
                        const EclatConfig& config);
 

@@ -18,7 +18,8 @@
 //   of round-1 result sets is a complete global candidate set.
 //
 //   Round 2 — each shard exactly counts the candidates it did NOT itself
-//   report (its round-1 supports are already exact). Summing round-1 and
+//   report (its round-1 supports are already exact), over the same prefix
+//   [0, n_i) it mined in round 1. Summing round-1 and
 //   round-2 supports per candidate gives exact global supports; filtering
 //   at τ and sorting (support desc, items asc — the daemon's own order)
 //   reproduces the single-node oracle's answer bit for bit.

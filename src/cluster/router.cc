@@ -735,17 +735,19 @@ bool RouterService::ProbeShard(size_t idx) {
 }
 
 std::vector<RouterService::ShardReply> RouterService::FanOut(
-    const std::vector<size_t>& targets, const obs::JsonValue& request) {
+    const std::vector<size_t>& targets,
+    const std::function<const obs::JsonValue&(size_t)>& request_for) {
   const auto begin = std::chrono::steady_clock::now();
   std::vector<ShardReply> replies(shards_.size());
   if (targets.size() == 1) {
-    replies[targets.front()] = CallShard(targets.front(), request);
+    replies[targets.front()] =
+        CallShard(targets.front(), request_for(targets.front()));
   } else if (!targets.empty()) {
     std::vector<std::thread> threads;
     threads.reserve(targets.size());
     for (size_t idx : targets) {
-      threads.emplace_back([this, idx, &replies, &request] {
-        replies[idx] = CallShard(idx, request);
+      threads.emplace_back([this, idx, &replies, &request_for] {
+        replies[idx] = CallShard(idx, request_for(idx));
       });
     }
     for (std::thread& thread : threads) thread.join();
@@ -987,27 +989,6 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
     top = static_cast<size_t>(requested.AsUint());
   }
 
-  // The exchange computes τ from round-1 totals but round-2 counts scan
-  // the shards' databases at round-2 time, so concurrent INSERTs between
-  // the rounds would mix snapshots. Growth is detected (a round-2 shard
-  // reporting a transaction total that moved since round 1) and the whole
-  // exchange re-runs — the retry's round 1 sees the newer data. A pass
-  // that still lands inconsistent after the retry budget is answered
-  // anyway, flagged exchange.snapshot_consistent = false.
-  JsonValue response;
-  for (uint32_t attempt = 0;; ++attempt) {
-    bool consistent = true;
-    response = MineExchange(min_support, top, attempt, &consistent);
-    if (!response.at("ok").AsBool() || consistent ||
-        attempt >= options_.mine_snapshot_retries) {
-      return response;
-    }
-  }
-}
-
-obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
-                                           uint32_t attempt,
-                                           bool* consistent) {
   // Round 1: every shard mines at the SAME relative minsup (its local
   // τ_i = ceil(minsup·n_i)), untruncated. Pigeonhole guarantees the union
   // of the local frequent sets contains every globally frequent pattern
@@ -1084,52 +1065,48 @@ obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
     needed[i] = MissingCandidates(round1[i], candidates);
     if (!needed[i].empty()) round2_targets.push_back(i);
   }
-  uint64_t round2_requests = 0;
-  std::atomic<bool> snapshot_moved{false};
-  if (!round2_targets.empty()) {
-    std::vector<std::thread> threads;
-    std::mutex missing_mu;
-    threads.reserve(round2_targets.size());
-    for (size_t idx : round2_targets) {
-      threads.emplace_back([this, idx, &needed, &round1, &round2, &missing,
-                            &missing_mu, &snapshot_moved] {
-        JsonValue round2_request = JsonValue::Object();
-        round2_request.Set("verb", JsonValue::String("MINE"));
-        JsonValue candidates_json = JsonValue::Array();
-        for (const Itemset& candidate : needed[idx]) {
-          candidates_json.Append(ItemsToJson(candidate));
-        }
-        round2_request.Set("candidates", std::move(candidates_json));
-        ShardReply reply = CallShard(idx, round2_request);
-        if (!reply.has_response || !reply.response.at("ok").AsBool()) {
-          // Round-1 supports still stand; the gap is surfaced as degraded.
-          std::lock_guard<std::mutex> lock(missing_mu);
-          missing.push_back(idx);
-          return;
-        }
-        // The shard echoes the transaction total its candidate scan
-        // covered; movement since round 1 means an INSERT landed between
-        // the rounds and this pass mixes snapshots.
-        if (UintField(reply.response, "transactions") !=
+  // Each round-2 leg is pinned to the prefix its shard mined in round 1
+  // ("at_txn"), so INSERTs landing between the rounds cannot change what
+  // either round read. A shard echoing any other total is an error leg.
+  std::vector<JsonValue> round2_requests(shards_.size());
+  for (size_t idx : round2_targets) {
+    JsonValue candidates_json = JsonValue::Array();
+    for (const Itemset& candidate : needed[idx]) {
+      candidates_json.Append(ItemsToJson(candidate));
+    }
+    JsonValue& request = round2_requests[idx];
+    request = JsonValue::Object();
+    request.Set("verb", JsonValue::String("MINE"));
+    request.Set("candidates", std::move(candidates_json));
+    request.Set("at_txn", JsonValue::Uint(round1[idx].transactions));
+  }
+  std::vector<ShardReply> round2_replies;
+  if (!round2_targets.empty()) {  // else no round 2, and no fanout_us sample
+    round2_replies = FanOut(
+        round2_targets, [&round2_requests](size_t idx) -> const JsonValue& {
+          return round2_requests[idx];
+        });
+  }
+  for (size_t idx : round2_targets) {
+    const ShardReply& reply = round2_replies[idx];
+    if (!reply.has_response || !reply.response.at("ok").AsBool() ||
+        UintField(reply.response, "transactions") !=
             round1[idx].transactions) {
-          snapshot_moved.store(true, std::memory_order_relaxed);
-        }
-        const JsonValue& supports = reply.response.at("supports");
-        for (size_t c = 0;
-             c < needed[idx].size() && c < supports.size(); ++c) {
-          round2[idx][needed[idx][c]] = supports.at(c).AsUint();
-        }
-      });
+      // Round-1 supports still stand; the gap is surfaced as degraded.
+      missing.push_back(idx);
+      continue;
     }
-    for (std::thread& thread : threads) thread.join();
-    round2_requests = round2_targets.size();
-    std::sort(missing.begin(), missing.end());
-    missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-    if (!missing.empty() && !options_.allow_degraded) {
-      return ErrorResponse(
-          "MINE", Status::Unavailable("shards unreachable: [" +
-                                      JoinIndices(missing) + "]"));
+    const JsonValue& supports = reply.response.at("supports");
+    for (size_t c = 0; c < needed[idx].size() && c < supports.size(); ++c) {
+      round2[idx][needed[idx][c]] = supports.at(c).AsUint();
     }
+  }
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  if (!missing.empty() && !options_.allow_degraded) {
+    return ErrorResponse(
+        "MINE", Status::Unavailable("shards unreachable: [" +
+                                    JoinIndices(missing) + "]"));
   }
 
   std::vector<Pattern> merged =
@@ -1150,13 +1127,10 @@ obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
   response.Set("patterns", std::move(patterns));
   // Exchange diagnostics (additive; the oracle-identity tests compare the
   // daemon fields above).
-  *consistent = !snapshot_moved.load(std::memory_order_relaxed);
   JsonValue exchange = JsonValue::Object();
   exchange.Set("tau", JsonValue::Uint(tau));
   exchange.Set("candidates", JsonValue::Uint(candidates.size()));
-  exchange.Set("round2_requests", JsonValue::Uint(round2_requests));
-  exchange.Set("snapshot_consistent", JsonValue::Bool(*consistent));
-  exchange.Set("snapshot_retries", JsonValue::Uint(attempt));
+  exchange.Set("round2_requests", JsonValue::Uint(round2_targets.size()));
   response.Set("exchange", std::move(exchange));
   FinishClusterResponse(&response, shards_.size(), 0, missing);
   return response;

@@ -71,6 +71,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -114,13 +115,6 @@ struct RouterOptions {
   /// set size or completeness (and thus bit-identity) is lost; the router
   /// verifies shards did not truncate and fails the query if one did.
   uint64_t mine_round1_top = 50'000'000;
-  /// The two-round MINE exchange assumes the database does not grow
-  /// between rounds (τ comes from round-1 totals, round-2 counts scan at
-  /// round-2 time). When a round-2 shard reports a transaction total that
-  /// moved since round 1, the whole exchange re-runs — up to this many
-  /// extra passes — before answering with
-  /// exchange.snapshot_consistent = false.
-  uint32_t mine_snapshot_retries = 2;
   /// Startup handshake patience: per shard, how many connect attempts
   /// spaced connect_backoff_ms apart before Init gives up on it.
   uint32_t connect_retries = 40;
@@ -247,15 +241,10 @@ class RouterService : public service::RequestHandler {
   obs::JsonValue HandlePing();
   obs::JsonValue HandleCount(const obs::JsonValue& request);
   obs::JsonValue HandleInsert(const obs::JsonValue& request);
+  /// The two-round global-τ candidate exchange (docs/CLUSTER.md). Round 2
+  /// pins each shard to the prefix it mined in round 1 ("at_txn"), so
+  /// concurrent INSERTs cannot mix the rounds' data.
   obs::JsonValue HandleMine(const obs::JsonValue& request);
-
-  /// One full two-round candidate exchange at `min_support`, truncated to
-  /// `top`. Sets *consistent to false when a round-2 shard's transaction
-  /// total moved between the rounds (concurrent INSERTs) — HandleMine
-  /// then re-runs the exchange, bounded by mine_snapshot_retries;
-  /// `attempt` is echoed as exchange.snapshot_retries.
-  obs::JsonValue MineExchange(double min_support, size_t top,
-                              uint32_t attempt, bool* consistent);
   obs::JsonValue HandleStats();
   obs::JsonValue HandleCheckpoint();
   obs::JsonValue HandleShardInfo();
@@ -265,11 +254,20 @@ class RouterService : public service::RequestHandler {
   /// (for idempotent verbs) hedging, update health/latency bookkeeping.
   ShardReply CallShard(size_t idx, const obs::JsonValue& request);
 
-  /// Runs CallShard for every index in `targets` in parallel; results land
-  /// at their shard index in the returned vector (non-targets stay
-  /// empty-handed with has_response == false).
+  /// Runs CallShard(idx, request_for(idx)) for every index in `targets` in
+  /// parallel; results land at their shard index in the returned vector
+  /// (non-targets stay empty-handed with has_response == false).
+  std::vector<ShardReply> FanOut(
+      const std::vector<size_t>& targets,
+      const std::function<const obs::JsonValue&(size_t)>& request_for);
+
+  /// FanOut with the same request for every target.
   std::vector<ShardReply> FanOut(const std::vector<size_t>& targets,
-                                 const obs::JsonValue& request);
+                                 const obs::JsonValue& request) {
+    return FanOut(targets, [&request](size_t) -> const obs::JsonValue& {
+      return request;
+    });
+  }
 
   /// The sorted union of the query items' hash positions (guards the
   /// non-thread-safe BloomHashFamily cache).

@@ -388,15 +388,10 @@ obs::JsonValue BbsService::HandleMine(const obs::JsonValue& request) {
     }
     top = static_cast<size_t>(requested.AsUint());
   }
-  MiningResult result;
-  size_t mined_over;
-  {
-    // Under write_mu_ so the database does not grow mid-scan; COUNTs keep
-    // flowing against published snapshots the whole time.
-    std::lock_guard<std::mutex> lock(write_mu_);
-    mined_over = db_->size();
-    result = MineEclat(*db_, config);
-  }
+  // No lock: the published prefix is immutable, so INSERTs keep appending
+  // past it while this pass runs.
+  const DatabaseView view = db_->Prefix();
+  MiningResult result = MineEclat(view, config);
   std::sort(result.patterns.begin(), result.patterns.end(),
             [](const Pattern& a, const Pattern& b) {
               if (a.support != b.support) return a.support > b.support;
@@ -413,7 +408,7 @@ obs::JsonValue BbsService::HandleMine(const obs::JsonValue& request) {
   }
   obs::JsonValue response = OkResponse("MINE");
   response.Set("min_support", obs::JsonValue::Double(config.min_support));
-  response.Set("transactions", obs::JsonValue::Uint(mined_over));
+  response.Set("transactions", obs::JsonValue::Uint(view.size()));
   response.Set("total_frequent", obs::JsonValue::Uint(total_frequent));
   response.Set("patterns", std::move(patterns));
   return response;
@@ -437,41 +432,40 @@ obs::JsonValue BbsService::HandleMineCandidates(const obs::JsonValue& request) {
     if (!items.ok()) return ErrorResponse("MINE", items.status());
     candidates.push_back(std::move(*items));
   }
-  std::vector<uint64_t> supports(candidates.size(), 0);
-  size_t counted_over;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    counted_over = db_->size();
-  }
-  // The O(transactions x candidates) scan is chunked so write_mu_ is
-  // released between chunks and INSERTs interleave instead of stalling
-  // for the whole pass (a stall past the router's fan-out deadline would
-  // read as a dead shard). The database is append-only, so the fixed
-  // prefix [0, counted_over) stays a consistent snapshot however many
-  // INSERTs land mid-scan — supports and the reported transaction total
-  // describe exactly that prefix.
-  constexpr size_t kChunkSubsetChecks = 65536;
-  const size_t per_chunk = std::max<size_t>(
-      1, kChunkSubsetChecks / std::max<size_t>(1, candidates.size()));
-  for (size_t begin = 0; begin < counted_over; begin += per_chunk) {
-    const size_t end = std::min(begin + per_chunk, counted_over);
-    std::lock_guard<std::mutex> lock(write_mu_);
-    for (size_t t = begin; t < end; ++t) {
-      const Itemset& txn = db_->At(t).items;
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        if (std::includes(txn.begin(), txn.end(), candidates[c].begin(),
-                          candidates[c].end())) {
-          ++supports[c];
-        }
-      }
+  // The scan reads an immutable prefix without the write lock: "at_txn"
+  // pins it (the router passes its round-1 total so both rounds read one
+  // prefix), defaulting to everything published now.
+  const size_t published = db_->size();
+  size_t at_txn = published;
+  if (request.Has("at_txn")) {
+    const obs::JsonValue& requested = request.at("at_txn");
+    if (!requested.is_number() || requested.AsInt() < 0) {
+      return ErrorResponse("MINE", Status::InvalidArgument(
+                                       "\"at_txn\" must be a non-negative "
+                                       "int"));
+    }
+    at_txn = static_cast<size_t>(requested.AsUint());
+    if (at_txn > published) {
+      return ErrorResponse(
+          "MINE", Status::InvalidArgument(
+                      "\"at_txn\" " + std::to_string(at_txn) +
+                      " is past the " + std::to_string(published) +
+                      " transactions this shard holds"));
     }
   }
+  const DatabaseView view = db_->Prefix(at_txn);
+  std::vector<uint64_t> supports(candidates.size(), 0);
+  view.ForEach(nullptr, [&](const Transaction& txn) {
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (IsSubsetOf(candidates[c], txn.items)) ++supports[c];
+    }
+  });
   obs::JsonValue supports_json = obs::JsonValue::Array();
   for (uint64_t support : supports) {
     supports_json.Append(obs::JsonValue::Uint(support));
   }
   obs::JsonValue response = OkResponse("MINE");
-  response.Set("transactions", obs::JsonValue::Uint(counted_over));
+  response.Set("transactions", obs::JsonValue::Uint(at_txn));
   response.Set("candidates", obs::JsonValue::Uint(candidates.size()));
   response.Set("supports", std::move(supports_json));
   return response;

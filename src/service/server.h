@@ -17,9 +17,12 @@
 //   COUNT  — admitted into the CountScheduler; snapshot-isolated reads;
 //            never blocked by inserts.
 //   INSERT — serialized by the service write mutex (index + db must move
-//            together); publishes a new epoch; never blocks COUNT.
-//   MINE   — heavyweight: runs a full mining pass over the database under
-//            the write mutex (it serializes with INSERT, not with COUNT).
+//            together) with CHECKPOINT and replication apply; publishes a
+//            new epoch; never blocks COUNT or MINE.
+//   MINE   — heavyweight, but takes no lock: it pins the database's
+//            published prefix [0, n) (TransactionDatabase::Prefix), which
+//            appends never move or change, and mines that. Candidates mode
+//            scans the prefix [0, at_txn) the same way.
 //   STATS / PING — read-only; touch only the metrics and snapshot locks.
 
 #ifndef BBSMINE_SERVICE_SERVER_H_
@@ -244,8 +247,9 @@ class BbsService : public RequestHandler {
   ServiceOptions options_;
   ServiceMetrics metrics_;
   CountScheduler scheduler_;
-  // Serializes INSERT, MINE, and CHECKPOINT; mutable so the const STATS
-  // path can take it briefly to read durability counters consistently.
+  // Serializes INSERT, CHECKPOINT, PROMOTE and replication apply; mutable
+  // so the const STATS path can take it briefly to read durability
+  // counters consistently. MINE never takes it.
   mutable std::mutex write_mu_;
   std::atomic<bool> draining_{false};
   /// Replication role and fencing term; PROMOTE flips them (under

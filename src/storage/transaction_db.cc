@@ -47,19 +47,26 @@ bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
 
 }  // namespace
 
-void TidIndex::Append(uint64_t record_bytes) {
-  offsets_.push_back(total_bytes_);
-  total_bytes_ += record_bytes;
-}
-
 uint64_t TidIndex::BlockSpan(size_t position, uint32_t block_size) const {
-  uint64_t first = offsets_[position] / block_size;
-  uint64_t last_byte = offsets_[position] + SizeOf(position) - 1;
+  uint64_t first = OffsetOf(position) / block_size;
+  uint64_t last_byte = OffsetOf(position) + SizeOf(position) - 1;
   return last_byte / block_size - first + 1;
 }
 
+void DatabaseView::ForEach(
+    IoStats* io, const std::function<void(const Transaction&)>& fn) const {
+  if (io != nullptr) {
+    io->sequential_reads += BlocksFor(serialized_bytes_, block_size_);
+  }
+  for (size_t begin = 0; begin < size_; begin += kChunkRecords) {
+    const auto& chunk = *(*records_)[begin / kChunkRecords];
+    const size_t end = std::min(kChunkRecords, size_ - begin);
+    for (size_t i = 0; i < end; ++i) fn(chunk[i]);
+  }
+}
+
 Tid TransactionDatabase::Append(Itemset items) {
-  Tid tid = transactions_.empty() ? 0 : transactions_.back().tid + 1;
+  Tid tid = empty() ? 0 : At(size() - 1).tid + 1;
   AppendTransaction(Transaction{tid, std::move(items)});
   return tid;
 }
@@ -70,22 +77,25 @@ void TransactionDatabase::AppendTransaction(Transaction txn) {
     item_universe_ = std::max(item_universe_, txn.items.back() + 1);
   }
   tid_index_.Append(RecordBytes(txn));
-  transactions_.push_back(std::move(txn));
+  records_.push_back(std::move(txn));
+}
+
+DatabaseView TransactionDatabase::Prefix(size_t n) const {
+  DatabaseView view;
+  view.records_ = records_.directory();
+  view.size_ = n;
+  view.serialized_bytes_ = tid_index_.PrefixBytes(n);
+  view.block_size_ = block_size_;
+  return view;
 }
 
 Itemset TransactionDatabase::DistinctItems() const {
   Itemset all;
-  for (const Transaction& txn : transactions_) {
+  ForEach(nullptr, [&](const Transaction& txn) {
     all.insert(all.end(), txn.items.begin(), txn.items.end());
-  }
+  });
   Canonicalize(&all);
   return all;
-}
-
-void TransactionDatabase::ForEach(
-    IoStats* io, const std::function<void(const Transaction&)>& fn) const {
-  ChargeFullScan(io);
-  for (const Transaction& txn : transactions_) fn(txn);
 }
 
 const Transaction& TransactionDatabase::Probe(size_t position,
@@ -93,7 +103,7 @@ const Transaction& TransactionDatabase::Probe(size_t position,
   if (io != nullptr) {
     io->random_reads += tid_index_.BlockSpan(position, block_size_);
   }
-  return transactions_[position];
+  return At(position);
 }
 
 void TransactionDatabase::ChargeFullScan(IoStats* io) const {
@@ -102,24 +112,36 @@ void TransactionDatabase::ChargeFullScan(IoStats* io) const {
   }
 }
 
-Status TransactionDatabase::Save(const std::string& path) const {
-  std::string payload;
-  payload.reserve(SerializedBytes() + 64);
-  AppendU64(&payload, transactions_.size());
-  AppendU32(&payload, item_universe_);
-  AppendU32(&payload, block_size_);
-  for (const Transaction& txn : transactions_) {
-    AppendU64(&payload, txn.tid);
-    AppendU32(&payload, static_cast<uint32_t>(txn.items.size()));
-    for (ItemId item : txn.items) AppendU32(&payload, item);
+bool TransactionDatabase::operator==(const TransactionDatabase& other) const {
+  if (size() != other.size()) return false;
+  for (size_t i = 0; i < size(); ++i) {
+    if (!(At(i) == other.At(i))) return false;
   }
+  return true;
+}
 
+Status TransactionDatabase::Save(const std::string& path) const {
+  // One buffer holds the whole image: the header is reserved up front and
+  // its CRC (over everything after it) is patched in once the records are
+  // written.
+  constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
   std::string file;
+  file.reserve(kHeaderBytes + 16 + SerializedBytes());
   file.append(kMagic, sizeof(kMagic));
   AppendU32(&file, kFormatVersion);
-  AppendU32(&file, Crc32(payload));
-  file += payload;
-
+  AppendU32(&file, 0);  // CRC placeholder
+  AppendU64(&file, size());
+  AppendU32(&file, item_universe_);
+  AppendU32(&file, block_size_);
+  ForEach(nullptr, [&](const Transaction& txn) {
+    AppendU64(&file, txn.tid);
+    AppendU32(&file, static_cast<uint32_t>(txn.items.size()));
+    for (ItemId item : txn.items) AppendU32(&file, item);
+  });
+  const uint32_t crc = Crc32(std::string_view(file).substr(kHeaderBytes));
+  for (int i = 0; i < 4; ++i) {
+    file[kHeaderBytes - 4 + i] = static_cast<char>(crc >> (8 * i));
+  }
   return WriteBinaryFile(path, file);
 }
 

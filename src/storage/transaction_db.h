@@ -17,8 +17,13 @@
 #ifndef BBSMINE_STORAGE_TRANSACTION_DB_H_
 #define BBSMINE_STORAGE_TRANSACTION_DB_H_
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,43 +33,156 @@
 
 namespace bbsmine {
 
+/// Records per storage chunk (see ChunkedArray). A constant, not an option:
+/// it trades the slack of one partly filled chunk against the directory
+/// length, and nothing observable depends on it.
+inline constexpr size_t kChunkRecords = 4096;
+
+/// An append-only array kept in fixed-capacity chunks, so an element never
+/// moves once written. The chunk directory is replaced, never edited, and
+/// only when a chunk is added: a reader holding a directory() snapshot can
+/// read any position the writer has already published to it (see
+/// TransactionDatabase::Prefix) while the single writer keeps appending.
+/// Copies are deep: a copy never shares a chunk with its source.
+template <typename T>
+class ChunkedArray {
+ public:
+  using Chunk = std::array<T, kChunkRecords>;
+  using Directory = std::vector<std::shared_ptr<Chunk>>;
+
+  ChunkedArray() = default;
+  ChunkedArray(const ChunkedArray& other) {
+    for (size_t i = 0; i < other.size(); ++i) push_back(other[i]);
+  }
+  ChunkedArray(ChunkedArray&& other) noexcept
+      : directory_(std::move(other.directory_)),
+        size_(other.size_.exchange(0, std::memory_order_relaxed)) {}
+  ChunkedArray& operator=(ChunkedArray other) noexcept {
+    directory_ = std::move(other.directory_);
+    size_.store(other.size(), std::memory_order_release);
+    return *this;
+  }
+
+  /// Elements published so far (acquire: every element below is readable
+  /// through a directory() taken afterwards).
+  size_t size() const { return size_.load(std::memory_order_acquire); }
+
+  /// Writer-side access; readers on other threads go through directory().
+  const T& operator[](size_t i) const { return Get(*directory_, i); }
+
+  /// Appends `value` and publishes it. One writer at a time.
+  void push_back(T value) {
+    const size_t n = size_.load(std::memory_order_relaxed);
+    if (n % kChunkRecords == 0) {
+      auto grown = std::make_shared<Directory>();
+      if (directory_ != nullptr) *grown = *directory_;
+      grown->push_back(std::make_shared<Chunk>());
+      std::lock_guard<std::mutex> lock(directory_mu_);
+      directory_ = std::move(grown);
+    }
+    (*directory_->back())[n % kChunkRecords] = std::move(value);
+    size_.store(n + 1, std::memory_order_release);
+  }
+
+  /// The current chunk directory; safe to call while the writer appends.
+  /// Null while the array is empty.
+  std::shared_ptr<const Directory> directory() const {
+    std::lock_guard<std::mutex> lock(directory_mu_);
+    return directory_;
+  }
+
+  static const T& Get(const Directory& directory, size_t i) {
+    return (*directory[i / kChunkRecords])[i % kChunkRecords];
+  }
+
+ private:
+  // Guards replacement of directory_ against directory() on reader threads.
+  mutable std::mutex directory_mu_;
+  std::shared_ptr<const Directory> directory_;
+  std::atomic<size_t> size_{0};
+};
+
 /// Maps a record's ordinal position to its byte offset in the serialized
 /// file, and byte offsets to block numbers. This is the paper's probe index.
+/// It stores each record's end offset in a ChunkedArray, so the offsets of a
+/// published prefix never change as records are appended.
 class TidIndex {
  public:
   /// Records that the transaction at the next position occupies
   /// `record_bytes` bytes.
-  void Append(uint64_t record_bytes);
+  void Append(uint64_t record_bytes) {
+    ends_.push_back(total_bytes() + record_bytes);
+  }
 
-  size_t size() const { return offsets_.size(); }
+  size_t size() const { return ends_.size(); }
 
   /// Byte offset of record `position` in the data region.
-  uint64_t OffsetOf(size_t position) const { return offsets_[position]; }
+  uint64_t OffsetOf(size_t position) const {
+    return position == 0 ? 0 : ends_[position - 1];
+  }
 
   /// Serialized size of record `position`, in bytes.
   uint64_t SizeOf(size_t position) const {
-    return (position + 1 < offsets_.size() ? offsets_[position + 1]
-                                           : total_bytes_) -
-           offsets_[position];
+    return ends_[position] - OffsetOf(position);
   }
 
   /// First block (of `block_size` bytes) touched by record `position`.
   uint64_t BlockOf(size_t position, uint32_t block_size) const {
-    return offsets_[position] / block_size;
+    return OffsetOf(position) / block_size;
   }
 
   /// Number of blocks spanned by record `position`.
   uint64_t BlockSpan(size_t position, uint32_t block_size) const;
 
   /// Total bytes of all records appended so far.
-  uint64_t total_bytes() const { return total_bytes_; }
+  uint64_t total_bytes() const {
+    return size() == 0 ? 0 : ends_[size() - 1];
+  }
+
+  /// Total bytes of records [0, n). Safe while the writer appends, for any
+  /// `n` already published.
+  uint64_t PrefixBytes(size_t n) const {
+    return n == 0 ? 0 : ChunkedArray<uint64_t>::Get(*ends_.directory(), n - 1);
+  }
 
  private:
-  std::vector<uint64_t> offsets_;
-  uint64_t total_bytes_ = 0;
+  ChunkedArray<uint64_t> ends_;
 };
 
-/// Append-only transaction store.
+/// A read-only view of the database prefix [0, n), taken by
+/// TransactionDatabase::Prefix. It shares the database's chunks: later
+/// appends never move, change or race with what it sees, and it stays
+/// valid after the database itself is gone.
+class DatabaseView {
+ public:
+  /// An empty view.
+  DatabaseView() = default;
+
+  size_t size() const { return size_; }
+
+  /// Record access by position, without I/O accounting.
+  const Transaction& At(size_t position) const {
+    return ChunkedArray<Transaction>::Get(*records_, position);
+  }
+
+  /// Full sequential scan of the prefix in position order, charging one
+  /// sequential pass over its bytes to `io` (if non-null).
+  void ForEach(IoStats* io,
+               const std::function<void(const Transaction&)>& fn) const;
+
+ private:
+  friend class TransactionDatabase;
+
+  std::shared_ptr<const ChunkedArray<Transaction>::Directory> records_;
+  size_t size_ = 0;
+  uint64_t serialized_bytes_ = 0;  // of the prefix's records
+  uint32_t block_size_ = 4096;
+};
+
+/// Append-only transaction store. One writer appends; any number of readers
+/// may call size() and Prefix() and work on the views concurrently. Every
+/// other member is for the writer's thread (or for a database nobody is
+/// appending to).
 class TransactionDatabase {
  public:
   TransactionDatabase() = default;
@@ -78,14 +196,20 @@ class TransactionDatabase {
   void AppendTransaction(Transaction txn);
 
   /// Number of transactions.
-  size_t size() const { return transactions_.size(); }
-  bool empty() const { return transactions_.empty(); }
+  size_t size() const { return records_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// The published prefix [0, size()) as an immutable view. Safe to call
+  /// while another thread appends.
+  DatabaseView Prefix() const { return Prefix(size()); }
+
+  /// The prefix [0, n), for `n` <= size(). Safe while another thread
+  /// appends.
+  DatabaseView Prefix(size_t n) const;
 
   /// Direct record access by position, without I/O accounting. Use this for
   /// building indexes and in tests; mining code should use Probe/ForEach.
-  const Transaction& At(size_t position) const {
-    return transactions_[position];
-  }
+  const Transaction& At(size_t position) const { return records_[position]; }
 
   /// The number of distinct item ids that *may* appear: max item id + 1.
   /// Zero for an empty database.
@@ -98,7 +222,9 @@ class TransactionDatabase {
   /// Full sequential scan: calls `fn` for every transaction in order and
   /// charges one sequential pass over the file to `io` (if non-null).
   void ForEach(IoStats* io,
-               const std::function<void(const Transaction&)>& fn) const;
+               const std::function<void(const Transaction&)>& fn) const {
+    Prefix().ForEach(io, fn);
+  }
 
   /// Random access by position through the TID index. Charges the record's
   /// block span as random reads to `io` (if non-null).
@@ -124,9 +250,7 @@ class TransactionDatabase {
   /// Reads a database previously written by Save.
   static Result<TransactionDatabase> Load(const std::string& path);
 
-  bool operator==(const TransactionDatabase& other) const {
-    return transactions_ == other.transactions_;
-  }
+  bool operator==(const TransactionDatabase& other) const;
 
  private:
   /// Serialized size of one record: tid (8) + count (4) + items (4 each).
@@ -134,7 +258,9 @@ class TransactionDatabase {
     return 8 + 4 + 4 * static_cast<uint64_t>(txn.items.size());
   }
 
-  std::vector<Transaction> transactions_;
+  // tid_index_ is appended before records_, whose size is the published
+  // count: a reader that sees record n also sees its offsets.
+  ChunkedArray<Transaction> records_;
   TidIndex tid_index_;
   ItemId item_universe_ = 0;
   uint32_t block_size_ = 4096;

@@ -518,6 +518,61 @@ TEST(MineCandidatesVerbTest, ReturnsExactSupportsAlignedWithInput) {
   EXPECT_FALSE(daemon.Handle(bad).at("ok").AsBool());
 }
 
+TEST(MineCandidatesVerbTest, AtTxnPinsThePrefixAndRejectsPastTheEnd) {
+  TransactionDatabase db = bbsmine::testing::RandomDb(19, 120, 16, 5.0);
+  const size_t initial = db.size();
+  auto index = SegmentedBbs::Create(ClusterConfig(), 64);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index->InsertAll(db).ok());
+  auto manager = service::SnapshotManager::FromIndex(*index);
+  ASSERT_TRUE(manager.ok());
+  service::BbsService daemon(&*manager, &db, service::ServiceOptions{});
+
+  const std::vector<Itemset> candidates = {{1}, {2, 3}, {4}};
+  auto request_at = [&](const JsonValue& at_txn) {
+    JsonValue request = MakeRequest("MINE");
+    JsonValue list = JsonValue::Array();
+    for (const Itemset& candidate : candidates) {
+      list.Append(service::ItemsToJson(candidate));
+    }
+    request.Set("candidates", std::move(list));
+    if (at_txn.kind() != JsonValue::Kind::kNull) {
+      request.Set("at_txn", at_txn);
+    }
+    return daemon.Handle(request);
+  };
+  auto expect_prefix = [&](const JsonValue& response, size_t n) {
+    ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
+    EXPECT_EQ(response.at("transactions").AsUint(), n);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      uint64_t expected = 0;
+      for (size_t t = 0; t < n; ++t) {
+        if (IsSubsetOf(candidates[c], db.At(t).items)) ++expected;
+      }
+      EXPECT_EQ(response.at("supports").at(c).AsUint(), expected)
+          << "candidate " << c << " at " << n;
+    }
+  };
+
+  // Grow the shard past the prefix the request pins.
+  JsonValue insert = MakeRequest("INSERT");
+  insert.Set("items", service::ItemsToJson({1, 2, 3, 4}));
+  ASSERT_TRUE(daemon.Handle(insert).at("ok").AsBool());
+  ASSERT_EQ(db.size(), initial + 1);
+
+  expect_prefix(request_at(JsonValue()), initial + 1);  // default: all
+  expect_prefix(request_at(JsonValue::Uint(initial)), initial);
+  expect_prefix(request_at(JsonValue::Uint(60)), 60);
+  expect_prefix(request_at(JsonValue::Uint(0)), 0);
+
+  for (const JsonValue& bad :
+       {JsonValue::Uint(initial + 2), JsonValue::String("7")}) {
+    JsonValue response = request_at(bad);
+    EXPECT_FALSE(response.at("ok").AsBool()) << bad.Serialize();
+    EXPECT_EQ(response.at("error").at("code").AsString(), "InvalidArgument");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Persistent client sessions.
 
@@ -1022,7 +1077,7 @@ TEST(RouterBackpressureTest, SheddingShardStaysUpThroughDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// MINE snapshot consistency: INSERTs landing between the two rounds.
+// MINE prefix pinning: INSERTs landing between the two rounds.
 
 /// A relay that appends one transaction to the backing shard right after
 /// answering the first round-1 MINE — the wire-visible shape of a client
@@ -1095,7 +1150,30 @@ class GrowBetweenRoundsRelay {
   std::atomic<bool> grown_{false};
 };
 
-TEST(RouterMineSnapshotTest, InsertBetweenRoundsIsDetectedAndRetried) {
+/// Asserts a router MINE answer (untruncated) equals Eclat over `db`.
+void ExpectSameAsOracle(const JsonValue& got, const TransactionDatabase& db,
+                        double minsup) {
+  EclatConfig oracle_config;
+  oracle_config.min_support = minsup;
+  MiningResult oracle = MineEclat(db, oracle_config);
+  std::sort(oracle.patterns.begin(), oracle.patterns.end(),
+            [](const Pattern& a, const Pattern& b) {
+              if (a.support != b.support) return a.support > b.support;
+              return a.items < b.items;
+            });
+  const JsonValue& patterns = got.at("patterns");
+  ASSERT_EQ(patterns.size(), oracle.patterns.size());
+  for (size_t i = 0; i < oracle.patterns.size(); ++i) {
+    auto items = service::ItemsFromJson(patterns.at(i).at("items"));
+    ASSERT_TRUE(items.ok());
+    EXPECT_EQ(*items, oracle.patterns[i].items) << "pattern " << i;
+    EXPECT_EQ(patterns.at(i).at("support").AsUint(),
+              oracle.patterns[i].support)
+        << "pattern " << i;
+  }
+}
+
+TEST(RouterMineSnapshotTest, InsertBetweenRoundsCannotChangeTheAnswer) {
   // Crafted so shard 1 is guaranteed a round-2 leg: every shard-0
   // transaction carries item 7, while shard 1 sees it exactly once —
   // locally infrequent there, so {7} is always a missing candidate shard 1
@@ -1133,38 +1211,22 @@ TEST(RouterMineSnapshotTest, InsertBetweenRoundsIsDetectedAndRetried) {
   ASSERT_TRUE(got.at("ok").AsBool()) << got.Serialize();
   EXPECT_TRUE(relay.grew());
 
-  // The first pass mixed snapshots (round-2 scanned 51 transactions where
-  // round 1 reported 50); the router must have detected it, re-run the
-  // exchange, and landed consistent.
+  // Round 2 reached shard 1 after it grew, but pinned to the prefix it
+  // mined in round 1: the answer is the oracle over the PRE-growth data.
   const JsonValue& exchange = got.at("exchange");
-  EXPECT_TRUE(exchange.at("snapshot_consistent").AsBool())
-      << got.Serialize();
-  EXPECT_EQ(exchange.at("snapshot_retries").AsUint(), 1u);
-  EXPECT_EQ(got.at("transactions").AsUint(), full.size() + 1);
+  EXPECT_GE(exchange.at("round2_requests").AsUint(), 1u) << got.Serialize();
+  EXPECT_FALSE(exchange.Has("snapshot_retries"));
+  EXPECT_EQ(got.at("transactions").AsUint(), full.size());
   EXPECT_FALSE(got.at("degraded").AsBool());
+  ExpectSameAsOracle(got, full, minsup);
 
-  // And the retried answer is the oracle answer over the GROWN data.
+  // The next MINE sees the grown database.
+  JsonValue again = router.Handle(MineRequest(minsup, 100000));
+  ASSERT_TRUE(again.at("ok").AsBool()) << again.Serialize();
   TransactionDatabase grown = full;
-  Itemset extra_txn = extra;
-  grown.Append(std::move(extra_txn));
-  EclatConfig oracle_config;
-  oracle_config.min_support = minsup;
-  MiningResult oracle = MineEclat(grown, oracle_config);
-  std::sort(oracle.patterns.begin(), oracle.patterns.end(),
-            [](const Pattern& a, const Pattern& b) {
-              if (a.support != b.support) return a.support > b.support;
-              return a.items < b.items;
-            });
-  const JsonValue& patterns = got.at("patterns");
-  ASSERT_EQ(patterns.size(), oracle.patterns.size());
-  for (size_t i = 0; i < oracle.patterns.size(); ++i) {
-    auto items = service::ItemsFromJson(patterns.at(i).at("items"));
-    ASSERT_TRUE(items.ok());
-    EXPECT_EQ(*items, oracle.patterns[i].items) << "pattern " << i;
-    EXPECT_EQ(patterns.at(i).at("support").AsUint(),
-              oracle.patterns[i].support)
-        << "pattern " << i;
-  }
+  grown.Append(extra);
+  EXPECT_EQ(again.at("transactions").AsUint(), grown.size());
+  ExpectSameAsOracle(again, grown, minsup);
   relay.Stop();
 }
 

@@ -26,6 +26,34 @@ TEST(EclatTest, MatchesBruteForce) {
   }
 }
 
+TEST(EclatTest, ExtensionExactlyAtTheThresholdSurvives) {
+  // {1, 2} occurs only in the last 10 of 100 transactions, so the merge of
+  // the tid-lists of 1 and 2 reaches its matches only when exactly 10
+  // positions are left on each side: at minsup 0.10 (tau = 10) it must not
+  // give up, at 0.11 (tau = 11) the pair is infrequent.
+  TransactionDatabase db;
+  for (int t = 0; t < 40; ++t) {
+    db.Append({1});
+    db.Append({2});
+  }
+  for (int t = 0; t < 10; ++t) db.Append({});
+  for (int t = 0; t < 10; ++t) db.Append({1, 2});
+  for (double minsup : {0.10, 0.11}) {
+    EclatConfig config;
+    config.min_support = minsup;
+    MiningResult result = MineEclat(db, config);
+    result.SortPatterns();
+    std::vector<Pattern> truth = testing::BruteForceMine(
+        db, AbsoluteThreshold(config.min_support, db.size()));
+    ASSERT_EQ(testing::ItemsetsOf(result.patterns),
+              testing::ItemsetsOf(truth))
+        << "minsup " << minsup;
+    for (size_t i = 0; i < truth.size(); ++i) {
+      EXPECT_EQ(result.patterns[i].support, truth[i].support);
+    }
+  }
+}
+
 TEST(EclatTest, MatchesFpGrowth) {
   TransactionDatabase db = testing::RandomDb(4, 500, 50, 7.0);
   EclatConfig eclat_config;

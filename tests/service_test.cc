@@ -417,6 +417,52 @@ TEST(BbsServiceTest, MineWithoutDatabaseFails) {
   EXPECT_FALSE(report.at("service").at("mine_enabled").AsBool());
 }
 
+TEST(BbsServiceTest, InsertDuringALongMineReturnsFirst) {
+  // MINE pins the published prefix and mines it without the write mutex,
+  // so an INSERT issued mid-pass must not wait for the pass to finish.
+  TransactionDatabase db = bbsmine::testing::RandomDb(61, 4000, 24, 9.0);
+  auto index = SegmentedBbs::Create(SmallConfig(), 1024);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index->InsertAll(db).ok());
+  auto manager = SnapshotManager::FromIndex(*index);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, &db, ServiceOptions{});
+  obs::JsonValue mine = obs::JsonValue::Object();
+  mine.Set("verb", obs::JsonValue::String("MINE"));
+  mine.Set("minsup", obs::JsonValue::Double(0.004));
+
+  // Calibrate: how long one pass takes on this machine.
+  using Clock = std::chrono::steady_clock;
+  const auto calibrate_start = Clock::now();
+  ASSERT_TRUE(service.Handle(mine).at("ok").AsBool());
+  const auto pass = Clock::now() - calibrate_start;
+
+  Clock::time_point mine_done;
+  obs::JsonValue mined;
+  std::thread miner([&] {
+    mined = service.Handle(mine);
+    mine_done = Clock::now();
+  });
+  // A quarter of the way into the pass: were the write mutex held for the
+  // whole pass, this INSERT would wait out the other three quarters.
+  std::this_thread::sleep_for(pass / 4);
+  obs::JsonValue insert = obs::JsonValue::Object();
+  insert.Set("verb", obs::JsonValue::String("INSERT"));
+  insert.Set("items", ItemsToJson({1, 2, 3}));
+  const auto insert_start = Clock::now();
+  obs::JsonValue inserted = service.Handle(insert);
+  const auto insert_done = Clock::now();
+  miner.join();
+
+  ASSERT_TRUE(inserted.at("ok").AsBool()) << inserted.Serialize(0);
+  ASSERT_TRUE(mined.at("ok").AsBool()) << mined.Serialize(0);
+  EXPECT_LT(insert_done, mine_done) << "the INSERT waited for the MINE";
+  EXPECT_LT(insert_done - insert_start, pass / 2)
+      << "the INSERT waited out the rest of the MINE pass";
+  EXPECT_EQ(inserted.at("transactions").AsUint(), 4001u);
+  EXPECT_EQ(db.size(), 4001u);
+}
+
 TEST(BbsServiceTest, DrainRefusesNewWork) {
   Fixture fx = MakeFixture(21, 60, 32);
   auto manager = SnapshotManager::FromIndex(fx.index);

@@ -12,14 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "baseline/eclat.h"
 #include "core/segmented_bbs.h"
 #include "service/scheduler.h"
+#include "service/server.h"
 #include "service/snapshot.h"
+#include "service/wire.h"
 #include "testing/reference.h"
 
 namespace bbsmine::service {
@@ -182,6 +186,79 @@ TEST(SnapshotStressTest, ConcurrentBatchInsertsKeepPrefixExact) {
   EXPECT_EQ(manager->num_transactions(), batch_a.size() + batch_b.size());
   EXPECT_EQ(manager->Acquire().CountItemSet({kSentinel}),
             batch_a.size() + batch_b.size());
+}
+
+TEST(SnapshotStressTest, MineAnswersMatchEclatOnTheirPrefixUnderInserts) {
+  // One writer INSERTs through the service while readers MINE, which takes
+  // no lock: every answer must be exactly Eclat over a copy of the prefix
+  // it reports.
+  constexpr size_t kBase = 150;
+  constexpr size_t kInserts = 250;
+  constexpr double kMinsup = 0.05;
+  TransactionDatabase db;
+  for (size_t t = 0; t < kBase; ++t) db.Append(StressTransaction(t));
+  auto index = SegmentedBbs::Create(StressConfig(), 32);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index->InsertAll(db).ok());
+  auto manager = SnapshotManager::FromIndex(*index);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, &db, ServiceOptions{});
+
+  std::atomic<bool> done{false};
+  std::vector<std::vector<obs::JsonValue>> answers(2);
+  std::vector<std::thread> readers;
+  for (std::vector<obs::JsonValue>& out : answers) {
+    readers.emplace_back([&] {
+      obs::JsonValue mine = obs::JsonValue::Object();
+      mine.Set("verb", obs::JsonValue::String("MINE"));
+      mine.Set("minsup", obs::JsonValue::Double(kMinsup));
+      mine.Set("top", obs::JsonValue::Uint(1'000'000));
+      do {
+        out.push_back(service.Handle(mine));
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  for (size_t t = kBase; t < kBase + kInserts; ++t) {
+    obs::JsonValue insert = obs::JsonValue::Object();
+    insert.Set("verb", obs::JsonValue::String("INSERT"));
+    insert.Set("items", ItemsToJson(StressTransaction(t * 5 + 1)));
+    EXPECT_TRUE(service.Handle(insert).at("ok").AsBool());
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  size_t checked = 0;
+  for (const std::vector<obs::JsonValue>& out : answers) {
+    for (const obs::JsonValue& answer : out) {
+      ASSERT_TRUE(answer.at("ok").AsBool()) << answer.Serialize(0);
+      const size_t n = answer.at("transactions").AsUint();
+      ASSERT_GE(n, kBase);
+      ASSERT_LE(n, db.size());
+      TransactionDatabase prefix;
+      for (size_t t = 0; t < n; ++t) prefix.Append(db.At(t).items);
+      EclatConfig config;
+      config.min_support = kMinsup;
+      MiningResult oracle = MineEclat(prefix, config);
+      std::sort(oracle.patterns.begin(), oracle.patterns.end(),
+                [](const Pattern& a, const Pattern& b) {
+                  if (a.support != b.support) return a.support > b.support;
+                  return a.items < b.items;
+                });
+      const obs::JsonValue& patterns = answer.at("patterns");
+      ASSERT_EQ(patterns.size(), oracle.patterns.size()) << "at " << n;
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        Result<Itemset> items = ItemsFromJson(patterns.at(i).at("items"));
+        ASSERT_TRUE(items.ok());
+        ASSERT_EQ(*items, oracle.patterns[i].items) << "at " << n;
+        ASSERT_EQ(patterns.at(i).at("support").AsUint(),
+                  oracle.patterns[i].support)
+            << "at " << n;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 2u);
 }
 
 }  // namespace

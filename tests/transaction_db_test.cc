@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "storage/transaction.h"
 #include "testing/reference.h"
+#include "util/crc32.h"
 
 namespace bbsmine {
 namespace {
@@ -194,6 +198,220 @@ TEST(TransactionDbTest, LoadRejectsTruncatedFile) {
   std::filesystem::resize_file(path, 20);
   Result<TransactionDatabase> loaded = TransactionDatabase::Load(path);
   EXPECT_FALSE(loaded.ok());
+  std::remove(path.c_str());
+}
+
+// --- Append-stable chunked storage ------------------------------------------------
+
+/// Deterministic transaction t: 0-3 items, so record sizes (and the TID
+/// index offsets) vary, empty transactions included.
+Itemset ChunkTestItems(size_t t) {
+  Itemset items;
+  for (size_t k = 0; k < t % 4; ++k) {
+    items.push_back(static_cast<ItemId>((t * 7 + k * 13) % 50));
+  }
+  Canonicalize(&items);
+  return items;
+}
+
+/// A small block size, so the I/O charge of a scan tracks its byte count.
+constexpr uint32_t kChunkTestBlock = 64;
+
+TransactionDatabase ChunkTestDb(size_t n) {
+  TransactionDatabase db;
+  db.set_block_size(kChunkTestBlock);
+  for (size_t t = 0; t < n; ++t) db.Append(ChunkTestItems(t));
+  return db;
+}
+
+/// Asserts `view` holds exactly transactions [0, n) of ChunkTestDb.
+void ExpectChunkTestPrefix(const DatabaseView& view, size_t n) {
+  ASSERT_EQ(view.size(), n);
+  uint64_t bytes = 0;
+  for (size_t t = 0; t < n; ++t) {
+    ASSERT_EQ(view.At(t).tid, t);
+    ASSERT_EQ(view.At(t).items, ChunkTestItems(t));
+    bytes += 12 + 4 * view.At(t).items.size();
+  }
+  size_t seen = 0;
+  IoStats io;
+  view.ForEach(&io, [&](const Transaction& txn) {
+    EXPECT_EQ(txn.tid, seen);
+    ++seen;
+  });
+  EXPECT_EQ(seen, n);
+  EXPECT_EQ(io.sequential_reads, BlocksFor(bytes, kChunkTestBlock));
+}
+
+TEST(ChunkedStorageTest, ChunkBoundaryMatrix) {
+  constexpr size_t C = kChunkRecords;
+  for (size_t n : {size_t{0}, C - 1, C, C + 1, 3 * C + 5}) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    TransactionDatabase db = ChunkTestDb(n);
+    ASSERT_EQ(db.size(), n);
+
+    // At, Probe and the TID index against a flat reference layout.
+    uint64_t offset = 0;
+    IoStats probe_io;
+    uint64_t expected_random = 0;
+    for (size_t t = 0; t < n; ++t) {
+      const Itemset items = ChunkTestItems(t);
+      ASSERT_EQ(db.At(t).tid, t);
+      ASSERT_EQ(db.At(t).items, items);
+      const uint64_t bytes = 12 + 4 * items.size();
+      ASSERT_EQ(db.tid_index().OffsetOf(t), offset);
+      ASSERT_EQ(db.tid_index().SizeOf(t), bytes);
+      expected_random += (offset + bytes - 1) / db.block_size() -
+                         offset / db.block_size() + 1;
+      ASSERT_EQ(&db.Probe(t, &probe_io), &db.At(t));
+      offset += bytes;
+    }
+    EXPECT_EQ(probe_io.random_reads, expected_random);
+    EXPECT_EQ(db.tid_index().size(), n);
+    EXPECT_EQ(db.SerializedBytes(), offset);
+
+    // ForEach, through the database and through its full prefix view.
+    std::vector<Tid> seen;
+    IoStats scan_io;
+    db.ForEach(&scan_io, [&](const Transaction& txn) {
+      seen.push_back(txn.tid);
+    });
+    ASSERT_EQ(seen.size(), n);
+    for (size_t t = 0; t < n; ++t) ASSERT_EQ(seen[t], t);
+    EXPECT_EQ(scan_io.sequential_reads, BlocksFor(offset, db.block_size()));
+    ExpectChunkTestPrefix(db.Prefix(), n);
+
+    // Save -> Load round trip and equality.
+    const std::string path = TempPath("bbsmine_db_chunks.bin");
+    ASSERT_TRUE(db.Save(path).ok());
+    Result<TransactionDatabase> loaded = TransactionDatabase::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(*loaded == db);
+    EXPECT_EQ(loaded->SerializedBytes(), db.SerializedBytes());
+    std::remove(path.c_str());
+    if (n > 0) {
+      TransactionDatabase shorter = ChunkTestDb(n - 1);
+      EXPECT_FALSE(shorter == db);
+      shorter.Append(Itemset{49});
+      EXPECT_FALSE(shorter == db);
+    }
+  }
+}
+
+TEST(ChunkedStorageTest, ViewIsUnchangedByLaterAppends) {
+  constexpr size_t C = kChunkRecords;
+  TransactionDatabase db = ChunkTestDb(C - 2);
+  const DatabaseView early = db.Prefix();
+  const DatabaseView partial = db.Prefix(10);
+  const Transaction* first = &early.At(0);
+  // Fill the open chunk and add two more.
+  for (size_t t = C - 2; t < 3 * C + 5; ++t) db.Append(ChunkTestItems(t));
+  ExpectChunkTestPrefix(early, C - 2);
+  ExpectChunkTestPrefix(partial, 10);
+  EXPECT_EQ(&db.At(0), first) << "an append moved a published record";
+  ExpectChunkTestPrefix(db.Prefix(), 3 * C + 5);
+}
+
+TEST(ChunkedStorageTest, CopyAppendLeavesOriginalAndItsViewsUntouched) {
+  constexpr size_t C = kChunkRecords;
+  // C + 3 leaves an open chunk both sides could be tempted to share.
+  TransactionDatabase original = ChunkTestDb(C + 3);
+  const DatabaseView view = original.Prefix();
+  TransactionDatabase copy = original;
+  EXPECT_TRUE(copy == original);
+  EXPECT_NE(&copy.At(C + 2), &original.At(C + 2)) << "copies must be deep";
+  for (size_t t = 0; t < 10; ++t) copy.Append(Itemset{99});
+  EXPECT_EQ(original.size(), C + 3);
+  ExpectChunkTestPrefix(view, C + 3);
+  ExpectChunkTestPrefix(original.Prefix(), C + 3);
+  EXPECT_EQ(copy.size(), C + 13);
+  EXPECT_EQ(copy.At(C + 3).items, (Itemset{99}));
+  EXPECT_EQ(copy.item_universe(), 100u);
+  EXPECT_EQ(original.item_universe(), 50u);
+
+  // And the other way round: the original grows, the copy stays.
+  TransactionDatabase snapshot = original;
+  original.Append(Itemset{1});
+  EXPECT_EQ(snapshot.size(), C + 3);
+  ExpectChunkTestPrefix(snapshot.Prefix(), C + 3);
+}
+
+TEST(ChunkedStorageTest, ViewOutlivesTheDatabase) {
+  DatabaseView view;
+  {
+    TransactionDatabase db = ChunkTestDb(kChunkRecords + 1);
+    view = db.Prefix();
+  }
+  ExpectChunkTestPrefix(view, kChunkRecords + 1);
+}
+
+TEST(ChunkedStorageTest, ReadersSeeStablePrefixesWhileWriterAppends) {
+  // One writer, several readers taking Prefix() views; built to run clean
+  // under ThreadSanitizer.
+  constexpr size_t kTotal = 2 * kChunkRecords + 100;
+  TransactionDatabase db;
+  db.set_block_size(kChunkTestBlock);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      size_t last = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const DatabaseView view = db.Prefix();
+        if (view.size() < last) bad.fetch_add(1);
+        last = view.size();
+        // Spot-check the ends of the view, where the writer is busiest.
+        for (size_t t = view.size() > 8 ? view.size() - 8 : 0;
+             t < view.size(); ++t) {
+          if (view.At(t).tid != t || view.At(t).items != ChunkTestItems(t)) {
+            bad.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (size_t t = 0; t < kTotal; ++t) db.Append(ChunkTestItems(t));
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(bad.load(), 0u);
+  ExpectChunkTestPrefix(db.Prefix(), kTotal);
+}
+
+TEST(TransactionDbTest, SaveWritesTheDocumentedImage) {
+  // The on-disk image, assembled by hand: magic, version, CRC of the
+  // payload, then the payload (count, universe, block size, records).
+  TransactionDatabase db;
+  db.AppendTransaction(Transaction{7, {3, 1}});
+  db.AppendTransaction(Transaction{9, {}});
+  db.set_block_size(512);
+  auto u32 = [](std::string* out, uint32_t v) {
+    for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  auto u64 = [](std::string* out, uint64_t v) {
+    for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  std::string payload;
+  u64(&payload, 2);    // records
+  u32(&payload, 4);    // item universe
+  u32(&payload, 512);  // block size
+  u64(&payload, 7);
+  u32(&payload, 2);
+  u32(&payload, 1);
+  u32(&payload, 3);
+  u64(&payload, 9);
+  u32(&payload, 0);
+  std::string expected = "BBSTXDB1";
+  u32(&expected, 1);  // format version
+  u32(&expected, Crc32(payload));
+  expected += payload;
+
+  const std::string path = TempPath("bbsmine_db_image.bin");
+  ASSERT_TRUE(db.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, expected);
   std::remove(path.c_str());
 }
 

@@ -118,9 +118,6 @@ void Usage() {
       "  --mine-top N        default MINE result cap (default 10)\n"
       "  --mine-round1-top N round-1 'top' sent to shards; must exceed any\n"
       "                      shard's local frequent-set size (default 5e7)\n"
-      "  --mine-snapshot-retries N  extra MINE exchange passes when\n"
-      "                      concurrent INSERTs land between the rounds\n"
-      "                      (default 2; exhaustion is flagged, not fatal)\n"
       "  --connect-retries N startup handshake attempts per shard\n"
       "                      (default 40, spaced --connect-backoff-ms)\n"
       "  --connect-backoff-ms N  handshake retry spacing (default 250)\n"
@@ -188,8 +185,6 @@ int main(int argc, char** argv) {
   options.default_min_support = args.GetDouble("minsup", 0.003);
   options.mine_top = args.GetUint("mine-top", 10);
   options.mine_round1_top = args.GetUint("mine-round1-top", 50'000'000);
-  options.mine_snapshot_retries =
-      static_cast<uint32_t>(args.GetUint("mine-snapshot-retries", 2));
   options.connect_retries =
       static_cast<uint32_t>(args.GetUint("connect-retries", 40));
   options.connect_backoff_ms =
