@@ -130,8 +130,7 @@ std::vector<ApproxPattern> MineApproximate(const BbsIndex& bbs,
         for (uint32_t pos : item_positions) {
           if (parent_sig.Get(pos)) continue;  // bit already required
           has_unique_bit = true;
-          const SliceView slice = bbs.Slice(pos);
-          cover = scratch.AndWithCount(slice.words, slice.num_words);
+          cover = bbs.Slice(pos).AndInto(scratch.MutableWords());
         }
         double coverage =
             !has_unique_bit || n == 0

@@ -202,12 +202,23 @@ Status ReadV2Arrays(std::string_view file, const std::string& path,
   return Status::Ok();
 }
 
+ChunkedArray<uint32_t> ToChunked(const std::vector<uint32_t>& values) {
+  ChunkedArray<uint32_t> out;
+  for (uint32_t v : values) out.push_back(v);
+  return out;
+}
+
 }  // namespace
 
 BbsIndex::BbsIndex(const BbsConfig& config, BloomHashFamily family,
-                   uint32_t folded)
-    : config_(config), family_(std::move(family)), folded_bits_(folded) {
-  source_ = std::make_unique<ResidentSliceSource>(num_bits());
+                   uint32_t folded, std::unique_ptr<SliceSource> source)
+    : config_(config),
+      family_(std::move(family)),
+      folded_bits_(folded),
+      source_(std::move(source)) {
+  if (source_ == nullptr) {
+    source_ = std::make_unique<ResidentSliceSource>(num_bits());
+  }
   slice_popcount_.resize(num_bits(), 0);
 }
 
@@ -237,22 +248,31 @@ Result<BbsIndex> BbsIndex::Create(const BbsConfig& config) {
 }
 
 void BbsIndex::Insert(const Itemset& items) {
-  ResidentSliceSource* res = source_->AsResident();
-  assert(res != nullptr && "Insert requires the resident backend");
-  std::vector<BitVector>& slices = res->slices();
+  assert(source_->writable() && "Insert requires a writable backend");
+  if (ResidentSliceSource* resident = source_->AsResident()) {
+    InsertInto(resident, items);
+  } else {
+    InsertInto(source_->AsTail(), items);
+  }
+}
 
-  size_t position = num_transactions_;
+template <typename Source>
+void BbsIndex::InsertInto(Source* source, const Itemset& items) {
+  const size_t position = num_transactions_;
   ++num_transactions_;
-  for (BitVector& slice : slices) slice.PushBack(false);
-  signature_bits_.push_back(0);
+  source->AppendZeroBit();
 
+  const size_t word = position / BitVector::kWordBits;
+  const Word mask = Word{1} << (position % BitVector::kWordBits);
+  uint32_t signature_bits = 0;
   for (ItemId item : items) {
     for (uint32_t raw : family_.Positions(item)) {
       uint32_t pos = folded_bits_ != 0 ? raw % folded_bits_ : raw;
-      if (!slices[pos].Get(position)) {
-        slices[pos].Set(position);
+      Word& bits = source->MutableWords(pos)[word];
+      if ((bits & mask) == 0) {
+        bits |= mask;
         ++slice_popcount_[pos];
-        ++signature_bits_.back();
+        ++signature_bits;
       }
     }
     if (config_.track_item_counts) {
@@ -260,6 +280,7 @@ void BbsIndex::Insert(const Itemset& items) {
       ++item_counts_[item];
     }
   }
+  signature_bits_.push_back(signature_bits);
 }
 
 void BbsIndex::InsertAll(const TransactionDatabase& db) {
@@ -331,24 +352,28 @@ size_t BbsIndex::CountWithSeed(const std::vector<uint32_t>& positions,
   // still cache-hot. After each block the loop aborts as soon as even an
   // all-ones remainder could not lift the count back to min_count — the
   // dense early-abort the filter phase relies on. On abort `out` is only
-  // partially written, which the CountItemSetAtLeast contract allows.
+  // partially written, which the CountItemSetAtLeast contract allows. The
+  // blocks cover the stable words; a published tail's frozen boundary word
+  // (SliceSource::Boundary) is ANDed last, on its own.
   const size_t k = positions.size();
   const Word* seed_words = seed != nullptr ? seed->words().data() : nullptr;
   // Stack-friendly operand table; queries rarely select more than a few
   // dozen slices, but signatures of long itemsets can.
   std::vector<const Word*> srcs(k);
   for (size_t i = 0; i < k; ++i) {
-    srcs[i] = SliceWords(positions[i]);
+    srcs[i] = source_->Words(positions[i]);
   }
 
   out.Resize(num_transactions_);
   Word* dst = out.MutableWords();
   const size_t n_words = out.num_words();
+  const size_t stable = source_->stable_words();
   std::vector<size_t> touched(k, 0);  // words streamed per slice
 
   size_t count = 0;
-  for (size_t base = 0; base < n_words; base += kCountBlockWords) {
-    const size_t len = std::min(kCountBlockWords, n_words - base);
+  bool aborted = false;
+  for (size_t base = 0; base < stable; base += kCountBlockWords) {
+    const size_t len = std::min(kCountBlockWords, stable - base);
     uint64_t block;
     size_t op;
     if (seed_words != nullptr) {
@@ -379,7 +404,19 @@ size_t BbsIndex::CountWithSeed(const std::vector<uint32_t>& positions,
     const size_t bits_done = std::min((base + len) * BitVector::kWordBits,
                                       num_transactions_);
     const size_t remaining_bits = num_transactions_ - bits_done;
-    if (count + remaining_bits < min_count) break;
+    if (count + remaining_bits < min_count) {
+      aborted = true;
+      break;
+    }
+  }
+  if (!aborted && stable < n_words) {
+    Word last = seed_words != nullptr ? seed_words[stable] : ~Word{0};
+    for (size_t i = 0; i < k && last != 0; ++i) {
+      last &= source_->Boundary(positions[i]);
+      ++touched[i];
+    }
+    dst[stable] = last;
+    count += static_cast<size_t>(std::popcount(last));
   }
 
   if (io != nullptr) {
@@ -450,8 +487,7 @@ size_t BbsIndex::AndItemSlices(ItemId item, BitVector* result,
   size_t count = 0;
   size_t slices_read = 0;
   for (size_t i = 0; i < positions.size(); ++i) {
-    count = result->AndWithCount(SliceWords(positions[i]),
-                                 result->num_words());
+    count = Slice(positions[i]).AndInto(result->MutableWords());
     ++slices_read;
     if (count == 0) break;
   }
@@ -470,19 +506,14 @@ uint64_t BbsIndex::ExactItemCount(ItemId item) const {
 
 BbsIndex BbsIndex::Fold(uint32_t new_bits) const {
   assert(new_bits > 0 && new_bits <= num_bits());
-  BbsIndex folded(config_,
-                  *BloomHashFamily::Create(config_.num_bits,
-                                           config_.num_hashes,
-                                           config_.hash_kind, config_.seed),
-                  new_bits);
+  BbsIndex folded(config_, family_, new_bits);
   folded.num_transactions_ = num_transactions_;
   ResidentSliceSource* res = folded.source_->AsResident();
   for (uint32_t pos = 0; pos < new_bits; ++pos) {
     res->slice(pos).Resize(num_transactions_);
   }
-  const size_t wps = WordsPerSlice();
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    res->slice(pos % new_bits).OrWithWords(SliceWords(pos), wps);
+    Slice(pos).OrInto(res->slice(pos % new_bits).MutableWords());
   }
   for (uint32_t pos = 0; pos < new_bits; ++pos) {
     folded.slice_popcount_[pos] = res->slice(pos).Count();
@@ -499,10 +530,39 @@ BbsIndex BbsIndex::Materialize() const {
   out.item_counts_ = item_counts_;
   out.signature_bits_ = signature_bits_;
   ResidentSliceSource* res = out.source_->AsResident();
-  const size_t wps = WordsPerSlice();
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    res->slice(pos).AssignWords(SliceWords(pos), wps, num_transactions_);
+    BitVector& slice = res->slice(pos);
+    slice.Resize(num_transactions_);
+    Slice(pos).CopyTo(slice.MutableWords());
   }
+  return out;
+}
+
+BbsIndex BbsIndex::ToTail(uint64_t capacity) const {
+  auto tail = std::make_unique<TailSliceSource>(
+      num_bits(), std::max<uint64_t>(capacity, num_transactions_),
+      num_transactions_);
+  for (uint32_t pos = 0; pos < num_bits(); ++pos) {
+    Slice(pos).CopyTo(tail->MutableWords(pos));
+  }
+  BbsIndex out(config_, family_, folded_bits_, std::move(tail));
+  out.num_transactions_ = num_transactions_;
+  out.slice_popcount_ = slice_popcount_;
+  out.item_counts_ = item_counts_;
+  out.signature_bits_ = signature_bits_;
+  return out;
+}
+
+BbsIndex BbsIndex::Freeze() const {
+  BbsIndex out(config_, family_, folded_bits_, source_->Freeze());
+  out.num_transactions_ = num_transactions_;
+  out.slice_popcount_ = slice_popcount_;
+  out.item_counts_ = item_counts_;
+  // A writable copy (any backend but the tail's) may be inserted into, so
+  // it must not share the signature chunks it would append to.
+  out.signature_bits_ = out.source_->writable()
+                            ? signature_bits_
+                            : signature_bits_.SharedPrefix(num_transactions_);
   return out;
 }
 
@@ -510,9 +570,9 @@ std::vector<uint32_t> BbsIndex::ComputeSignatureBits() const {
   std::vector<uint32_t> bits(num_transactions_, 0);
   const size_t wps = WordsPerSlice();
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    const Word* words = SliceWords(pos);
+    const SliceView slice = Slice(pos);
     for (size_t w = 0; w < wps; ++w) {
-      Word x = words[w];
+      Word x = slice.word(w);
       while (x != 0) {
         const size_t t = w * BitVector::kWordBits +
                          static_cast<size_t>(std::countr_zero(x));
@@ -525,7 +585,7 @@ std::vector<uint32_t> BbsIndex::ComputeSignatureBits() const {
 }
 
 void BbsIndex::RecomputeSignatureBits() {
-  signature_bits_ = ComputeSignatureBits();
+  signature_bits_ = ToChunked(ComputeSignatureBits());
 }
 
 void BbsIndex::ChargeFullScan(IoStats* io, uint32_t block_size) const {
@@ -551,8 +611,8 @@ std::string BbsIndex::Serialize() const {
   std::string data;
   data.reserve(static_cast<size_t>(bits) * stride);
   for (uint32_t pos = 0; pos < bits; ++pos) {
-    const Word* words = SliceWords(pos);
-    for (size_t w = 0; w < wps; ++w) AppendU64(&data, words[w]);
+    const SliceView slice = Slice(pos);
+    for (size_t w = 0; w < wps; ++w) AppendU64(&data, slice.word(w));
     data.append(stride - wps * sizeof(Word), '\0');
   }
   const uint32_t data_crc = Crc32(data);
@@ -575,7 +635,9 @@ std::string BbsIndex::Serialize() const {
   for (uint32_t pos = 0; pos < bits; ++pos) {
     AppendU64(&meta, slice_popcount_[pos]);
   }
-  for (uint32_t sig : signature_bits_) AppendU32(&meta, sig);
+  for (size_t t = 0; t < num_transactions_; ++t) {
+    AppendU32(&meta, signature_bits_[t]);
+  }
   meta.append(static_cast<size_t>(data_offset - meta_end), '\0');
 
   std::string file;
@@ -653,7 +715,7 @@ Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
     if (index.ComputeSignatureBits() != signature_bits) {
       return Status::Corruption("signature bits mismatch in " + path);
     }
-    index.signature_bits_ = std::move(signature_bits);
+    index.signature_bits_ = ToChunked(signature_bits);
     return index;
   }
 
@@ -779,7 +841,7 @@ Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
   index.num_transactions_ = header.num_transactions;
   index.slice_popcount_ = std::move(popcounts);
   index.item_counts_ = std::move(item_counts);
-  index.signature_bits_ = std::move(signature_bits);
+  index.signature_bits_ = ToChunked(signature_bits);
   index.source_ = std::make_unique<MmapSliceSource>(
       *map, header.data_offset, header.stride_bytes, header.effective_bits(),
       header.words_per_slice, header.num_transactions);
@@ -796,11 +858,16 @@ bool BbsIndex::operator==(const BbsIndex& other) const {
     return false;
   }
   const size_t wps = WordsPerSlice();
-  if (wps == 0) return true;
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    if (std::memcmp(SliceWords(pos), other.SliceWords(pos),
-                    wps * sizeof(Word)) != 0) {
+    const SliceView a = Slice(pos);
+    const SliceView b = other.Slice(pos);
+    const size_t stable = std::min(a.stable_words, b.stable_words);
+    if (stable > 0 &&
+        std::memcmp(a.words, b.words, stable * sizeof(Word)) != 0) {
       return false;
+    }
+    for (size_t w = stable; w < wps; ++w) {
+      if (a.word(w) != b.word(w)) return false;
     }
   }
   return true;

@@ -14,15 +14,20 @@
 // index through a checksummed file.
 //
 // Slice words live behind a SliceSource (core/slice_source.h): the resident
-// backend (heap BitVectors, mutable) or the mmap backend (zero-copy over the
-// v2 aligned on-disk layout, read-only — OpenMmap). The query path is
-// backend-agnostic and bit-identical across backends; only the resident
-// backend supports Insert.
+// backend (heap BitVectors, mutable), the append-stable tail backend
+// (ToTail: one block sized for a whole segment, mutable, published in
+// O(num_bits) by Freeze) or the mmap backend (zero-copy over the v2 aligned
+// on-disk layout, read-only — OpenMmap). The query path is backend-agnostic
+// and bit-identical across backends; only writable() backends support
+// Insert.
 //
 // Thread safety: all const methods (the whole query path — CountItemSet and
 // friends, ItemPositions, AndItemSlices, Fold, Save) are safe to call
-// concurrently from any number of threads; they share no mutable state.
-// Insert/InsertAll require exclusive access, as usual.
+// concurrently from any number of threads, including for items the index
+// has never looked up: the only state they share is the hash family's
+// position table, which is race-free by construction (core/bloom_hash.h).
+// Insert/InsertAll require exclusive access, as usual. A Freeze() view may
+// be read from any thread while the index it came from keeps inserting.
 
 #ifndef BBSMINE_CORE_BBS_INDEX_H_
 #define BBSMINE_CORE_BBS_INDEX_H_
@@ -38,6 +43,7 @@
 #include "core/slice_source.h"
 #include "storage/transaction.h"
 #include "util/bitvector.h"
+#include "util/chunked_array.h"
 #include "util/iomodel.h"
 #include "util/status.h"
 
@@ -51,7 +57,7 @@ class BbsIndex {
 
   // Deep-copies resident slice data; mmap copies share the file mapping
   // (SliceSource::Clone), which is how snapshots of sealed mmap segments
-  // stay O(1).
+  // stay O(1). Copies share the hash-position table.
   BbsIndex(const BbsIndex& other);
   BbsIndex& operator=(const BbsIndex& other);
   BbsIndex(BbsIndex&&) = default;
@@ -71,8 +77,9 @@ class BbsIndex {
   /// Number of transactions inserted.
   size_t num_transactions() const { return num_transactions_; }
 
-  /// True when the slice words are heap-resident (and therefore mutable).
-  bool resident() const { return source_->AsResident() != nullptr; }
+  /// True when the index accepts Insert: its slice words are heap-resident
+  /// and it is not a Freeze() view.
+  bool resident() const { return source_->writable(); }
 
   /// Backend name as reported by stats: "resident" or "mmap".
   const char* backend_name() const { return source_->name(); }
@@ -85,7 +92,7 @@ class BbsIndex {
   }
 
   /// Appends one transaction. `items` must be canonical.
-  /// Precondition: resident().
+  /// Precondition: resident(), and below the capacity of a ToTail index.
   void Insert(const Itemset& items);
 
   /// Bulk helper: inserts every transaction of `db` in order.
@@ -164,6 +171,19 @@ class BbsIndex {
   /// resident). The adoption path for mutable tails built from mmap files.
   BbsIndex Materialize() const;
 
+  /// Copy whose slices live in append-stable storage with room for
+  /// max(capacity, num_transactions()) transactions: the snapshot
+  /// manager's writer-side tail. Inserts set bits in place and never move
+  /// a word, which is what lets Freeze() share them.
+  BbsIndex ToTail(uint64_t capacity) const;
+
+  /// An immutable view of this index as it is now, safe to read from any
+  /// thread while this index keeps inserting. For a ToTail index it costs
+  /// O(num_bits()): it shares the slice words and signature bits, copies
+  /// the slice popcounts and exact item counts, and freezes the one
+  /// partial word per slice. Any other index is deep-copied.
+  BbsIndex Freeze() const;
+
   /// Size of one serialized slice, in bytes.
   uint64_t SliceBytes() const { return (num_transactions_ + 7) / 8; }
 
@@ -213,12 +233,14 @@ class BbsIndex {
   bool operator==(const BbsIndex& other) const;
 
  private:
-  BbsIndex(const BbsConfig& config, BloomHashFamily family, uint32_t folded);
+  /// Insert's body, compiled once per writable backend so the per-bit
+  /// calls inline.
+  template <typename Source>
+  void InsertInto(Source* source, const Itemset& items);
 
-  /// Word array of slice `pos`, whatever the backend.
-  const BitVector::Word* SliceWords(uint32_t pos) const {
-    return source_->Words(pos);
-  }
+  /// An empty index over `source` (a resident one when null).
+  BbsIndex(const BbsConfig& config, BloomHashFamily family, uint32_t folded,
+           std::unique_ptr<SliceSource> source = nullptr);
 
   /// Words per slice: ceil(num_transactions / 64).
   size_t WordsPerSlice() const {
@@ -251,7 +273,9 @@ class BbsIndex {
   std::unique_ptr<SliceSource> source_;  // owns the num_bits() slices
   std::vector<size_t> slice_popcount_;   // cached popcounts
   std::vector<uint64_t> item_counts_;    // exact 1-itemset counts (optional)
-  std::vector<uint32_t> signature_bits_; // per-transaction signature popcount
+  // Per-transaction signature popcounts; append-only, so Freeze() shares a
+  // prefix of them.
+  ChunkedArray<uint32_t> signature_bits_;
 };
 
 }  // namespace bbsmine

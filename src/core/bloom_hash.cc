@@ -1,6 +1,6 @@
 #include "core/bloom_hash.h"
 
-#include <cassert>
+#include <algorithm>
 
 #include "util/md5.h"
 
@@ -18,19 +18,32 @@ Result<BloomHashFamily> BloomHashFamily::Create(uint32_t num_bits,
   return BloomHashFamily(num_bits, num_hashes, kind, seed);
 }
 
-const std::vector<uint32_t>& BloomHashFamily::Positions(ItemId item) const {
-  if (item >= cache_.size()) {
-    size_t new_size = std::max<size_t>(static_cast<size_t>(item) + 1,
-                                       cache_.size() * 2);
-    cache_.resize(new_size);
-    cache_valid_.resize(new_size, false);
+const std::vector<uint32_t>& BloomHashFamily::Memoize(ItemId item) const {
+  PositionTable& table = *table_;
+  std::lock_guard<std::mutex> lock(table.mu);
+  // Another thread may have filled the entry while this one waited.
+  if (const std::vector<uint32_t>* hit = table.Find(item)) return *hit;
+  const size_t chunk = item / PositionTable::kChunkItems;
+  const PositionTable::Directory* dir =
+      table.directory.load(std::memory_order_relaxed);
+  if (dir == nullptr || chunk >= dir->size()) {
+    auto grown = std::make_unique<PositionTable::Directory>();
+    if (dir != nullptr) *grown = *dir;
+    const size_t size = std::max(chunk + 1, 2 * grown->size());
+    while (grown->size() < size) {
+      table.chunks.push_back(std::make_unique<PositionTable::Chunk>());
+      grown->push_back(table.chunks.back().get());
+    }
+    dir = grown.get();
+    table.directories.push_back(std::move(grown));
+    table.directory.store(dir, std::memory_order_release);
   }
-  if (!cache_valid_[item]) {
-    ComputePositions(item, &cache_[item]);
-    cache_valid_[item] = true;
-    ++cache_filled_;
-  }
-  return cache_[item];
+  PositionTable::Entry& entry =
+      (*(*dir)[chunk])[item % PositionTable::kChunkItems];
+  ComputePositions(item, &entry.positions);
+  entry.ready.store(true, std::memory_order_release);
+  table.filled.fetch_add(1, std::memory_order_relaxed);
+  return entry.positions;
 }
 
 void BloomHashFamily::ComputePositions(ItemId item,

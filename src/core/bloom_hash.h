@@ -8,12 +8,19 @@
 // Positions are memoized per item: mining touches the same (few hundred)
 // frequent items millions of times, so the MD5 cost is paid once per item,
 // matching the paper's observation that "the computational overhead of MD5 is
-// negligible".
+// negligible". The memo is one append-stable table shared by every copy of a
+// family (and so by every copy of a BbsIndex and every published snapshot of
+// a tail segment): an entry never moves once written, so lookups from any
+// number of threads are race-free while another thread adds items.
 
 #ifndef BBSMINE_CORE_BLOOM_HASH_H_
 #define BBSMINE_CORE_BLOOM_HASH_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,8 +32,9 @@ namespace bbsmine {
 
 /// A family of `num_hashes` hash functions h_j : ItemId -> [0, num_bits).
 ///
-/// Not thread-safe: the position cache is grown lazily on first use of each
-/// item.
+/// Thread-safe: Positions may be called from any number of threads at once,
+/// including for items nobody has looked up yet. Copies share the position
+/// memo (one shared_ptr), so copying a family is O(1).
 class BloomHashFamily {
  public:
   /// Validates the parameters and constructs the family.
@@ -40,19 +48,59 @@ class BloomHashFamily {
   uint64_t seed() const { return seed_; }
 
   /// The `num_hashes` positions of `item`, each in [0, num_bits).
-  /// The returned reference is stable until the next call for a new item.
-  const std::vector<uint32_t>& Positions(ItemId item) const;
+  /// The returned reference stays valid while any copy of the family lives.
+  const std::vector<uint32_t>& Positions(ItemId item) const {
+    const std::vector<uint32_t>* hit = table_->Find(item);
+    return hit != nullptr ? *hit : Memoize(item);
+  }
 
   /// Number of items with memoized positions (diagnostics).
-  size_t cached_items() const { return cache_filled_; }
+  size_t cached_items() const {
+    return table_->filled.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// The position memo: fixed chunks of kChunkItems entries that never move
+  /// once allocated, reached through a chunk directory that is replaced
+  /// (never edited) when it must grow. Superseded directories stay alive
+  /// until the table dies, so a reader's directory pointer never dangles.
+  /// An entry is written once, under `mu`, before its ready flag is
+  /// released; Find is lock-free.
+  struct PositionTable {
+    static constexpr size_t kChunkItems = 64;
+    struct Entry {
+      std::atomic<bool> ready{false};
+      std::vector<uint32_t> positions;
+    };
+    using Chunk = std::array<Entry, kChunkItems>;
+    using Directory = std::vector<Chunk*>;
+
+    const std::vector<uint32_t>* Find(ItemId item) const {
+      const Directory* dir = directory.load(std::memory_order_acquire);
+      const size_t chunk = item / kChunkItems;
+      if (dir == nullptr || chunk >= dir->size()) return nullptr;
+      const Entry& entry = (*(*dir)[chunk])[item % kChunkItems];
+      return entry.ready.load(std::memory_order_acquire) ? &entry.positions
+                                                         : nullptr;
+    }
+
+    std::atomic<const Directory*> directory{nullptr};
+    std::atomic<size_t> filled{0};
+    std::mutex mu;  // serializes Memoize
+    std::vector<std::unique_ptr<Chunk>> chunks;           // guarded by mu
+    std::vector<std::unique_ptr<Directory>> directories;  // guarded by mu
+  };
+
   BloomHashFamily(uint32_t num_bits, uint32_t num_hashes, HashKind kind,
                   uint64_t seed)
       : num_bits_(num_bits),
         num_hashes_(num_hashes),
         kind_(kind),
-        seed_(seed) {}
+        seed_(seed),
+        table_(std::make_shared<PositionTable>()) {}
+
+  /// The Positions miss path: computes and publishes `item`'s entry.
+  const std::vector<uint32_t>& Memoize(ItemId item) const;
 
   /// Computes positions without consulting the cache.
   void ComputePositions(ItemId item, std::vector<uint32_t>* out) const;
@@ -66,10 +114,7 @@ class BloomHashFamily {
   HashKind kind_;
   uint64_t seed_;
 
-  // cache_[item] holds the positions once cache_valid_[item] is true.
-  mutable std::vector<std::vector<uint32_t>> cache_;
-  mutable std::vector<bool> cache_valid_;
-  mutable size_t cache_filled_ = 0;
+  std::shared_ptr<PositionTable> table_;
 };
 
 }  // namespace bbsmine

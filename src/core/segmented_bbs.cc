@@ -105,6 +105,11 @@ Status SegmentedBbs::Insert(const Itemset& items) {
   return Status::Ok();
 }
 
+Status SegmentedBbs::InsertBatch(const std::vector<Itemset>& batch) {
+  for (const Itemset& items : batch) BBSMINE_RETURN_IF_ERROR(Insert(items));
+  return Status::Ok();
+}
+
 Status SegmentedBbs::InsertAll(const TransactionDatabase& db) {
   return InsertAll(db, 0, db.size());
 }

@@ -83,6 +83,11 @@ class SegmentedBbs {
   /// segment cannot be created.
   Status Insert(const Itemset& items);
 
+  /// Inserts every transaction of `batch` in order. Fails only if a new
+  /// segment cannot be created; on failure the transactions before the
+  /// failing one remain inserted.
+  Status InsertBatch(const std::vector<Itemset>& batch);
+
   /// Bulk helper: inserts every transaction of `db` in order (parity with
   /// BbsIndex::InsertAll). Fails only if a new segment cannot be created;
   /// on failure the transactions before the failing one remain inserted.

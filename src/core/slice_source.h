@@ -7,6 +7,10 @@
 //   * ResidentSliceSource — the classic backend: every slice is a BitVector
 //     on the heap. Mutable (Insert appends bits), and the only backend that
 //     charges the paper's synthetic I/O cost model (util/iomodel.h).
+//   * TailSliceSource — the open tail segment of a snapshot manager: every
+//     slice's words are allocated once, at the segment capacity, and the
+//     writer sets a new transaction's bits in place. Freeze() publishes it
+//     in O(num_slices) (see the class comment).
 //   * MmapSliceSource — zero-copy over the v2 aligned on-disk layout
 //     (docs/FORMATS.md): the sealed index file is mmap'd once and each
 //     slice's word array is served straight from the mapping. The v2 format
@@ -18,7 +22,8 @@
 //
 // Clone() is how snapshots share sealed segments: resident clones deep-copy,
 // mmap clones share the underlying mapping (shared_ptr), so publishing a
-// snapshot of an mmap'd segment costs O(1) memory.
+// snapshot of an mmap'd segment costs O(1) memory. Freeze() is how the
+// writer publishes its tail: a deep copy, except for TailSliceSource.
 
 #ifndef BBSMINE_CORE_SLICE_SOURCE_H_
 #define BBSMINE_CORE_SLICE_SOURCE_H_
@@ -46,22 +51,41 @@ Result<IndexBackend> ParseIndexBackend(std::string_view name);
 const char* IndexBackendName(IndexBackend backend);
 
 /// A borrowed, read-only view of one bit-slice: `num_bits` bits (one per
-/// transaction) backed by `num_words` 64-bit words. Bits past num_bits in
-/// the last word are zero. Valid only while the owning index is alive.
+/// transaction) in `num_words` 64-bit words. Bits past num_bits in the last
+/// word are zero. The first `stable_words` words are read in place from
+/// `words`; when that is one short of num_words (a published tail view,
+/// see TailSliceSource), the last word is `last` and words[num_words - 1]
+/// must not be read. Valid only while the owning index is alive.
 struct SliceView {
-  const BitVector::Word* words = nullptr;
+  using Word = BitVector::Word;
+
+  const Word* words = nullptr;
   size_t num_words = 0;
   size_t num_bits = 0;
+  size_t stable_words = 0;
+  Word last = 0;
+
+  Word word(size_t w) const { return w < stable_words ? words[w] : last; }
 
   bool Get(size_t i) const {
-    return (words[i / BitVector::kWordBits] >> (i % BitVector::kWordBits)) &
+    return (word(i / BitVector::kWordBits) >> (i % BitVector::kWordBits)) &
            1u;
   }
 
-  size_t Count() const { return kernels::Count(words, num_words); }
+  size_t Count() const;
+
+  /// dst[0, num_words) &= this slice; returns the popcount of the result.
+  size_t AndInto(Word* dst) const;
+
+  /// dst[0, num_words) |= this slice.
+  void OrInto(Word* dst) const;
+
+  /// dst[0, num_words) = this slice.
+  void CopyTo(Word* dst) const;
 };
 
 class ResidentSliceSource;
+class TailSliceSource;
 
 /// Owner of an index's slice words; see file comment for the backends.
 class SliceSource {
@@ -81,11 +105,24 @@ class SliceSource {
   /// Words per slice: ceil(slice_bits / 64).
   virtual size_t words_per_slice() const = 0;
 
-  /// The 64-byte-aligned word array of slice `slice`.
+  /// The 64-byte-aligned word array of slice `slice`. Only its first
+  /// stable_words() words may be read.
   virtual const Word* Words(uint32_t slice) const = 0;
 
+  /// Leading words of every slice that may be read in place through
+  /// Words(): all of them, except in a published tail view whose last word
+  /// is partial. The writer may still be setting bits in that word, so the
+  /// view reads its frozen copy, Boundary(), instead.
+  virtual size_t stable_words() const { return words_per_slice(); }
+
+  /// The frozen last word of `slice`; meaningful only when stable_words()
+  /// < words_per_slice().
+  virtual Word Boundary(uint32_t /*slice*/) const { return 0; }
+
   SliceView View(uint32_t slice) const {
-    return SliceView{Words(slice), words_per_slice(), slice_bits()};
+    const size_t stable = stable_words();
+    return SliceView{Words(slice), words_per_slice(), slice_bits(), stable,
+                     stable < words_per_slice() ? Boundary(slice) : 0};
   }
 
   /// Heap bytes pinned by the slice data. Zero for mmap (pages are clean,
@@ -104,10 +141,19 @@ class SliceSource {
   /// Deep copy for resident, shared mapping for mmap.
   virtual std::unique_ptr<SliceSource> Clone() const = 0;
 
-  /// Downcast for the mutation path (Insert / fold construction); returns
-  /// nullptr for read-only backends.
+  /// An immutable copy of the slices as they are now, for publication to
+  /// readers while this source keeps growing. Clone() by default;
+  /// TailSliceSource shares its words instead.
+  virtual std::unique_ptr<SliceSource> Freeze() const { return Clone(); }
+
+  /// Whether Insert may append to these slices.
+  virtual bool writable() const { return false; }
+
+  /// Downcasts for the mutation paths (Insert, fold / load construction);
+  /// nullptr for the other backends. Both writable backends offer
+  /// AppendZeroBit (grow every slice by one zero bit) and MutableWords.
   virtual ResidentSliceSource* AsResident() { return nullptr; }
-  virtual const ResidentSliceSource* AsResident() const { return nullptr; }
+  virtual TailSliceSource* AsTail() { return nullptr; }
 };
 
 /// Heap-resident backend: one BitVector per slice. Mutable.
@@ -131,15 +177,91 @@ class ResidentSliceSource final : public SliceSource {
   size_t ApproxResidentBytes() const override;
   bool charges_synthetic_io() const override { return true; }
   std::unique_ptr<SliceSource> Clone() const override;
+  bool writable() const override { return true; }
   ResidentSliceSource* AsResident() override { return this; }
-  const ResidentSliceSource* AsResident() const override { return this; }
+
+  void AppendZeroBit() {
+    for (BitVector& slice : slices_) slice.PushBack(false);
+  }
+  Word* MutableWords(uint32_t slice) { return slices_[slice].MutableWords(); }
 
   BitVector& slice(uint32_t s) { return slices_[s]; }
-  std::vector<BitVector>& slices() { return slices_; }
-  const std::vector<BitVector>& slices() const { return slices_; }
 
  private:
   std::vector<BitVector> slices_;
+};
+
+/// Append-stable backend for a mutable tail segment. The words of every
+/// slice are allocated once, `capacity` bits per slice, in one block, and
+/// the writer sets transaction n's bits in place. Appending bit n never
+/// changes a bit below n, so every full word below word n/64 is immutable
+/// once written.
+///
+/// Freeze() turns that into an O(num_slices) publication: the view shares
+/// the block and reads the full words in place, and it keeps its own copy
+/// of the one partial word per slice (the boundary word), because the
+/// writer may still be setting bits there. When n % 64 == 0 there is no
+/// partial word and the view copies nothing. A view is read-only; the
+/// source it came from keeps accepting inserts up to `capacity`.
+class TailSliceSource final : public SliceSource {
+ public:
+  /// A writable source of `num_slices` slices holding `bits` zero bits
+  /// each, with room for `capacity` (>= bits).
+  TailSliceSource(uint32_t num_slices, size_t capacity, size_t bits);
+
+  const char* name() const override { return "resident"; }
+  uint32_t num_slices() const override { return num_slices_; }
+  size_t slice_bits() const override { return bits_; }
+  size_t words_per_slice() const override {
+    return (bits_ + BitVector::kWordBits - 1) / BitVector::kWordBits;
+  }
+  const Word* Words(uint32_t slice) const override {
+    return block_->words + slice * block_->stride;
+  }
+  size_t stable_words() const override {
+    return boundary_.empty() ? words_per_slice() : words_per_slice() - 1;
+  }
+  Word Boundary(uint32_t slice) const override { return boundary_[slice]; }
+  size_t ApproxResidentBytes() const override;
+  bool charges_synthetic_io() const override { return true; }
+  std::unique_ptr<SliceSource> Clone() const override;
+  std::unique_ptr<SliceSource> Freeze() const override;
+  bool writable() const override { return !frozen_; }
+  TailSliceSource* AsTail() override { return this; }
+
+  void AppendZeroBit();
+  Word* MutableWords(uint32_t slice) {
+    return block_->words + slice * block_->stride;
+  }
+
+ private:
+  /// The slice words: slice s at words + s * stride, zero-initialized.
+  struct Block {
+    Block(uint32_t num_slices, size_t capacity);
+    ~Block();
+    Block(const Block&) = delete;
+    Block& operator=(const Block&) = delete;
+
+    void* raw;
+    Word* words;    // 64-byte aligned
+    size_t stride;  // words per slice, a multiple of 8 (one cache line)
+    size_t capacity;
+  };
+
+  TailSliceSource(std::shared_ptr<Block> block, uint32_t num_slices,
+                  size_t bits, std::vector<Word> boundary, bool frozen)
+      : block_(std::move(block)),
+        num_slices_(num_slices),
+        bits_(bits),
+        boundary_(std::move(boundary)),
+        frozen_(frozen) {}
+
+  std::shared_ptr<Block> block_;
+  uint32_t num_slices_;
+  size_t bits_;
+  // Frozen views only: the last word of every slice when bits_ % 64 != 0.
+  std::vector<Word> boundary_;
+  bool frozen_;
 };
 
 /// Zero-copy backend over an mmap'd v2 index file. Read-only; the mapping

@@ -95,9 +95,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
             "database boundary falls inside a WAL record");
       }
       if (cursor >= index_covered) {
-        for (const Itemset& items : batch) {
-          BBSMINE_RETURN_IF_ERROR(mgr->recovered_.Insert(items));
-        }
+        BBSMINE_RETURN_IF_ERROR(mgr->recovered_.InsertBatch(batch));
       }
       if (db != nullptr && cursor >= db_covered) {
         for (const Itemset& items : batch) db->Append(items);

@@ -319,10 +319,11 @@ obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
       Status logged = durability_->LogInsert(batch);
       if (!logged.ok()) return ErrorResponse("INSERT", logged);
     }
-    for (const Itemset& items : batch) {
-      Status inserted = index_->Insert(items);
-      if (!inserted.ok()) return ErrorResponse("INSERT", inserted);
-      if (db_ != nullptr) db_->Append(items);
+    // One publication for the whole batch: readers see all of it or none.
+    Status inserted = index_->InsertBatch(batch);
+    if (!inserted.ok()) return ErrorResponse("INSERT", inserted);
+    if (db_ != nullptr) {
+      for (const Itemset& items : batch) db_->Append(items);
     }
     // Fold cold sealed segments before the checkpoint below so a triggered
     // checkpoint persists the compacted generation.
@@ -330,8 +331,9 @@ obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
     if (compacted > 0) {
       metrics_.Inc(metrics_.compacted_segments, compacted);
     }
-    epoch = index_->epoch();
-    transactions = index_->num_transactions();
+    const Snapshot published = index_->Acquire();
+    epoch = published.epoch();
+    transactions = published.num_transactions();
     if (durability_ != nullptr && durability_->ShouldCheckpoint()) {
       // The batch is already durable in the WAL, so a failed automatic
       // checkpoint must not fail the insert; it just leaves more WAL to
@@ -605,9 +607,9 @@ Status BbsService::ApplyReplicated(
     if (durability_ != nullptr) {
       BBSMINE_RETURN_IF_ERROR(durability_->LogInsert(batch));
     }
-    for (const Itemset& items : batch) {
-      BBSMINE_RETURN_IF_ERROR(index_->Insert(items));
-      if (db_ != nullptr) db_->Append(items);
+    BBSMINE_RETURN_IF_ERROR(index_->InsertBatch(batch));
+    if (db_ != nullptr) {
+      for (const Itemset& items : batch) db_->Append(items);
     }
     applied += batch.size();
   }

@@ -43,7 +43,7 @@ Result<SnapshotManager> SnapshotManager::Create(const BbsConfig& config,
   Result<BbsIndex> tail = BbsIndex::Create(config);
   if (!tail.ok()) return tail.status();
   SnapshotManager out(config, segment_capacity);
-  out.tail_ = std::make_unique<BbsIndex>(std::move(tail).value());
+  out.tail_ = std::make_unique<BbsIndex>(tail->ToTail(segment_capacity));
   {
     std::lock_guard<std::mutex> lock(*out.mu_);
     out.PublishLocked();
@@ -60,16 +60,17 @@ Result<SnapshotManager> SnapshotManager::FromIndex(const SegmentedBbs& index) {
     // Every segment but the last is sealed (full or not, it will never
     // grow again in `index`; adopting it as sealed only forgoes topping it
     // up). The last segment is the open tail: copy it into the
-    // writer-private tail so future inserts extend it.
+    // writer-private append-stable tail so future inserts extend it.
     for (size_t idx = 0; idx + 1 < index.num_segments(); ++idx) {
       out->sealed_.push_back(
           std::make_shared<const BbsIndex>(index.segment(idx)));
       out->sealed_epoch_.push_back(out->epoch_);
     }
-    // An mmap-backed tail is read-only; materialize it so inserts work
-    // (adopted sealed segments above stay zero-copy — the BbsIndex copy
-    // shares the mapping).
-    *out->tail_ = index.segment(index.num_segments() - 1).Materialize();
+    // The copy also materializes an mmap-backed tail (adopted sealed
+    // segments above stay zero-copy — the BbsIndex copy shares the
+    // mapping).
+    *out->tail_ = index.segment(index.num_segments() - 1)
+                      .ToTail(out->segment_capacity_);
     out->num_transactions_ = index.num_transactions();
     out->PublishLocked();
   }
@@ -96,10 +97,9 @@ Status SnapshotManager::MaybeSealLocked() {
   if (tail_->num_transactions() < segment_capacity_) return Status::Ok();
   Result<BbsIndex> fresh = BbsIndex::Create(config_);
   if (!fresh.ok()) return fresh.status();
-  sealed_.push_back(
-      std::make_shared<const BbsIndex>(std::move(*tail_)));
+  sealed_.push_back(std::make_shared<const BbsIndex>(std::move(*tail_)));
   sealed_epoch_.push_back(epoch_);
-  *tail_ = std::move(fresh).value();
+  *tail_ = fresh->ToTail(segment_capacity_);
   ++seals_;
   return Status::Ok();
 }
@@ -148,21 +148,39 @@ void SnapshotManager::PublishLocked() {
   state->config = config_;
   state->segments = sealed_;  // shared by reference, never copied
   if (tail_->num_transactions() > 0) {
-    // Copy-on-publish: freeze the current tail. The copy is retired
-    // automatically when the last snapshot referencing it is released.
-    state->segments.push_back(std::make_shared<const BbsIndex>(*tail_));
+    // The view shares the tail's words and is retired automatically when
+    // the last snapshot referencing it is released.
+    state->segments.push_back(
+        std::make_shared<const BbsIndex>(tail_->Freeze()));
   }
   published_->Store(std::move(state));
   ++publications_;
 }
 
-Status SnapshotManager::Insert(const Itemset& items) {
+template <typename At>
+Status SnapshotManager::InsertRange(size_t first, size_t last, const At& at) {
   std::lock_guard<std::mutex> lock(*mu_);
-  BBSMINE_RETURN_IF_ERROR(MaybeSealLocked());
-  tail_->Insert(items);
-  ++num_transactions_;
+  for (size_t t = first; t < last; ++t) {
+    // Publish what was absorbed so far even if a seal fails mid-batch.
+    Status sealed = MaybeSealLocked();
+    if (!sealed.ok()) {
+      PublishLocked();
+      return sealed;
+    }
+    tail_->Insert(at(t));
+    ++num_transactions_;
+  }
   PublishLocked();
   return Status::Ok();
+}
+
+Status SnapshotManager::Insert(const Itemset& items) {
+  return InsertRange(0, 1, [&](size_t) -> const Itemset& { return items; });
+}
+
+Status SnapshotManager::InsertBatch(const std::vector<Itemset>& batch) {
+  return InsertRange(0, batch.size(),
+                     [&](size_t t) -> const Itemset& { return batch[t]; });
 }
 
 Status SnapshotManager::InsertAll(const TransactionDatabase& db) {
@@ -174,19 +192,9 @@ Status SnapshotManager::InsertAll(const TransactionDatabase& db, size_t first,
   if (first > db.size() || count > db.size() - first) {
     return Status::OutOfRange("InsertAll range past end of database");
   }
-  std::lock_guard<std::mutex> lock(*mu_);
-  for (size_t t = first; t < first + count; ++t) {
-    // Publish what was absorbed so far even if a seal fails mid-batch.
-    Status sealed = MaybeSealLocked();
-    if (!sealed.ok()) {
-      PublishLocked();
-      return sealed;
-    }
-    tail_->Insert(db.At(t).items);
-    ++num_transactions_;
-  }
-  PublishLocked();
-  return Status::Ok();
+  return InsertRange(first, first + count, [&](size_t t) -> const Itemset& {
+    return db.At(t).items;
+  });
 }
 
 }  // namespace bbsmine::service

@@ -10,11 +10,19 @@
 // fully immutable segment list after every mutation:
 //
 //   * sealed segments are shared by reference across epochs (never copied);
-//   * the tail is copied once per publication (copy-on-publish), so the
-//     published list references only frozen objects;
+//   * the tail is published as a frozen view that shares the writer's
+//     slice words instead of copying them (BbsIndex::Freeze). The writer's
+//     tail allocates every slice's words once, at the segment capacity,
+//     and sets transaction n's bits in place. Appending bit n never changes
+//     a bit below n, so every full word below word n/64 is immutable once
+//     written — the same invariant that lets a TransactionDatabase::Prefix
+//     view share the records of a database that keeps appending. The view
+//     reads those words in place and keeps its own copy of the one partial
+//     word per slice (the boundary word), the only word the writer may
+//     still change;
 //   * publication swaps one shared_ptr under a leaf mutex whose critical
 //     sections are pointer copies only — all insert work (hashing, slice
-//     updates, the tail copy itself) happens outside it, so readers are
+//     updates, freezing the tail) happens outside it, so readers are
 //     never blocked behind index mutation. Readers acquire the current
 //     list with one pointer copy and hold it for as long as they like
 //     (Snapshot is a value type).
@@ -27,11 +35,12 @@
 // TSan-understood; the CI thread-sanitizer job runs the stress tests.)
 //
 // Reclamation is epoch-based in the refcounting sense: a superseded list
-// (and the tail copy only it references) is destroyed exactly when the
-// last snapshot holding it is released. There is no grace-period machinery
-// to tune and no reader registration — inserts never block readers behind
-// their work, which is the property the service-layer stress test pins
-// under TSan.
+// (and the tail view only it references) is destroyed exactly when the
+// last snapshot holding it is released; the shared slice words live until
+// the last view of them and the writer (or sealed segment) are gone. There
+// is no grace-period machinery to tune and no reader registration —
+// inserts never block readers behind their work, which is the property
+// the service-layer stress test pins under TSan.
 //
 // Consistency guarantee: every snapshot is a *prefix* of the insert
 // sequence (insert i is visible iff all inserts < i are), and epochs and
@@ -39,9 +48,14 @@
 // against one snapshot are bit-identical to counting a SegmentedBbs built
 // from that prefix.
 //
-// Costs: one tail copy per publication. Single inserts publish every time
-// (freshest reads, O(tail bytes) copy); InsertAll publishes once per batch,
-// which is what the daemon's INSERT verb uses.
+// Costs: a publication copies O(num_bits) words — one boundary word per
+// slice (none when the tail holds a multiple of 64 transactions) and the
+// per-slice popcounts — plus the exact item counts when they are tracked.
+// Per-transaction signature bits are append-only and shared by prefix.
+// Nothing it allocates grows with the tail, and sealing moves the full tail
+// into the sealed list without a copy. Single inserts publish every time;
+// InsertBatch and InsertAll publish once per batch, which is what the
+// daemon's INSERT verb, replication apply and WAL replay use.
 
 #ifndef BBSMINE_SERVICE_SNAPSHOT_H_
 #define BBSMINE_SERVICE_SNAPSHOT_H_
@@ -108,7 +122,7 @@ class Snapshot {
     uint64_t epoch = 0;
     size_t num_transactions = 0;
     BbsConfig config;
-    // Sealed segments plus one frozen tail copy; all strictly immutable.
+    // Sealed segments plus one frozen tail view; all strictly immutable.
     // Empty tails are not published, so segments may be empty at epoch 0.
     std::vector<std::shared_ptr<const BbsIndex>> segments;
   };
@@ -130,7 +144,8 @@ class SnapshotManager {
                                         uint64_t segment_capacity);
 
   /// Adopts the contents of an existing segmented index (e.g. one loaded
-  /// from disk). Sealed segments are shared, the open tail is copied.
+  /// from disk). Sealed segments are shared, the open tail is copied into
+  /// append-stable storage.
   static Result<SnapshotManager> FromIndex(const SegmentedBbs& index);
 
   /// Wraps a monolithic BbsIndex as one sealed segment; new inserts go to
@@ -149,8 +164,13 @@ class SnapshotManager {
   /// other writers; never blocks or waits for readers.
   Status Insert(const Itemset& items);
 
-  /// Appends every transaction of `db` (or the `count` starting at
-  /// `first`) and publishes once at the end of the batch.
+  /// Appends every transaction of `batch` and publishes once at the end:
+  /// readers see all of the batch or none of it (unless a seal fails
+  /// mid-batch, when what was absorbed so far is published).
+  Status InsertBatch(const std::vector<Itemset>& batch);
+
+  /// InsertBatch over every transaction of `db` (or the `count` starting
+  /// at `first`).
   Status InsertAll(const TransactionDatabase& db);
   Status InsertAll(const TransactionDatabase& db, size_t first, size_t count);
 
@@ -158,7 +178,7 @@ class SnapshotManager {
   uint64_t epoch() const { return Acquire().epoch(); }
   size_t num_transactions() const { return Acquire().num_transactions(); }
 
-  /// Number of publications so far == number of retired tail copies + 1.
+  /// Number of publications so far == number of retired tail views + 1.
   /// Exposed as a service metric (snapshot.publishes).
   uint64_t publications() const;
 
@@ -186,7 +206,12 @@ class SnapshotManager {
   /// Seals the tail if full, opening a fresh one. Caller holds mu_.
   Status MaybeSealLocked();
 
-  /// Publishes the current sealed list + a frozen copy of the tail.
+  /// Appends transactions [first, last) of a batch (`at(i)` yields the
+  /// items of transaction i) and publishes once. Caller holds no lock.
+  template <typename At>
+  Status InsertRange(size_t first, size_t last, const At& at);
+
+  /// Publishes the current sealed list + a frozen view of the tail.
   /// Caller holds mu_.
   void PublishLocked();
 
@@ -199,7 +224,9 @@ class SnapshotManager {
   // sealed_epoch_[i]: the epoch current when sealed_[i] froze (parallel to
   // sealed_). Drives the CompactionPolicy coldness test.
   std::vector<uint64_t> sealed_epoch_;
-  std::unique_ptr<BbsIndex> tail_;  // writer-private mutable tail
+  // Writer-private mutable tail, in append-stable storage (ToTail) so that
+  // publishing it shares its words.
+  std::unique_ptr<BbsIndex> tail_;
   size_t num_transactions_ = 0;
   uint64_t epoch_ = 0;
   uint64_t publications_ = 0;
@@ -222,7 +249,7 @@ class SnapshotManager {
         retired.swap(state);
         state = std::move(next);
       }
-      // `retired` (possibly the last reference to a superseded tail copy)
+      // `retired` (possibly the last reference to a superseded tail view)
       // is released here, outside the leaf mutex.
     }
     mutable std::mutex mu;

@@ -97,19 +97,6 @@ size_t BitVector::AndWithCount(const BitVector& other) {
       kernels::AndCount(words_.data(), other.words_.data(), words_.size()));
 }
 
-size_t BitVector::AndWithCount(const Word* other_words, size_t num_words) {
-  assert(num_words == words_.size());
-  (void)num_words;
-  return static_cast<size_t>(
-      kernels::AndCount(words_.data(), other_words, words_.size()));
-}
-
-void BitVector::OrWithWords(const Word* other_words, size_t num_words) {
-  assert(num_words == words_.size());
-  (void)num_words;
-  kernels::OrWords(words_.data(), other_words, words_.size());
-}
-
 size_t BitVector::AssignAndCount(const BitVector& a, const BitVector& b) {
   assert(a.size_ == b.size_);
   words_.resize(a.words_.size());

@@ -117,14 +117,6 @@ class BitVector {
   /// Fuses the two passes of AndWith + Count into one.
   size_t AndWithCount(const BitVector& other);
 
-  /// Word-span overload for slices served by a non-resident backend
-  /// (core/slice_source.h). `num_words` must equal num_words(); bits past
-  /// size() in the span's last word must be zero.
-  size_t AndWithCount(const Word* other_words, size_t num_words);
-
-  /// Word-span OR, same contract as the AndWithCount overload above.
-  void OrWithWords(const Word* other_words, size_t num_words);
-
   /// Three-operand fused op: *this = a & b, returning the popcount of the
   /// result. Replaces the copy-then-AndWithCount two-pass pattern in the
   /// filter walk. `a` and `b` must have the same size; either may alias

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "storage/transaction_db.h"
 #include "testing/reference.h"
@@ -265,6 +268,38 @@ TEST(BbsIndexTest, SerializedBytesAndMemoryUsage) {
   IoStats io;
   bbs.ChargeFullScan(&io);
   EXPECT_EQ(io.sequential_reads, 1u);
+}
+
+TEST(BbsIndexTest, ConcurrentCountsOnUnseenItemsAreRaceFree) {
+  // Two threads count on one index with items it has never hashed, so both
+  // take the position table's miss path at once — on the same items, in
+  // opposite orders. Run under ThreadSanitizer in CI.
+  BbsConfig config;
+  config.num_bits = 512;
+  config.num_hashes = 3;
+  auto index = BbsIndex::Create(config);
+  ASSERT_TRUE(index.ok());
+  index->InsertAll(testing::RandomDb(5, 200, 20, 4.0));
+  constexpr ItemId kFirstUnseen = 1000;
+  constexpr ItemId kUnseen = 2000;
+  std::vector<size_t> counts[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (ItemId i = 0; i < kUnseen; ++i) {
+        const ItemId item = t == 0 ? kFirstUnseen + i
+                                   : kFirstUnseen + kUnseen - 1 - i;
+        BitVector result;
+        counts[t].push_back(index->CountItemSet({item}, &result));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::reverse(counts[1].begin(), counts[1].end());
+  EXPECT_EQ(counts[0], counts[1]);
+  for (ItemId i = 0; i < kUnseen; i += 97) {
+    EXPECT_EQ(index->CountItemSet({kFirstUnseen + i}), counts[0][i]);
+  }
 }
 
 }  // namespace

@@ -188,6 +188,60 @@ TEST(SnapshotStressTest, ConcurrentBatchInsertsKeepPrefixExact) {
             batch_a.size() + batch_b.size());
 }
 
+TEST(SnapshotStressTest, BatchInsertPublishesOneEpochAndNoPartialBatch) {
+  // A 50-transaction INSERT is one publication: it advances the epoch by
+  // exactly 1, and a COUNT racing it sees all of the batch or none of it.
+  constexpr size_t kBatch = 50;
+  constexpr size_t kBatches = 6;
+  auto manager = SnapshotManager::Create(StressConfig(), 64);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, nullptr, ServiceOptions{});
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> violations{0};
+  std::atomic<uint64_t> answers{0};
+  obs::JsonValue count = obs::JsonValue::Object();
+  count.Set("verb", obs::JsonValue::String("COUNT"));
+  count.Set("items", ItemsToJson({kSentinel}));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const obs::JsonValue response = service.Handle(count);
+        if (!response.at("ok").AsBool()) continue;
+        const uint64_t visible = response.at("visible_transactions").AsUint();
+        if (visible % kBatch != 0 ||
+            response.at("count").AsUint() != visible) {
+          violations.fetch_add(1);
+        }
+        answers.fetch_add(1);
+      }
+    });
+  }
+  while (answers.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  for (size_t b = 0; b < kBatches; ++b) {
+    obs::JsonValue transactions = obs::JsonValue::Array();
+    for (size_t t = 0; t < kBatch; ++t) {
+      transactions.Append(ItemsToJson(StressTransaction(b * kBatch + t)));
+    }
+    obs::JsonValue insert = obs::JsonValue::Object();
+    insert.Set("verb", obs::JsonValue::String("INSERT"));
+    insert.Set("transactions", std::move(transactions));
+    const uint64_t before = manager->epoch();
+    const obs::JsonValue response = service.Handle(insert);
+    ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize(0);
+    EXPECT_EQ(response.at("epoch").AsUint(), before + 1);
+    EXPECT_EQ(response.at("transactions").AsUint(), (b + 1) * kBatch);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(manager->Acquire().CountItemSet({kSentinel}), kBatch * kBatches);
+}
+
 TEST(SnapshotStressTest, MineAnswersMatchEclatOnTheirPrefixUnderInserts) {
   // One writer INSERTs through the service while readers MINE, which takes
   // no lock: every answer must be exactly Eclat over a copy of the prefix
