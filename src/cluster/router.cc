@@ -4,8 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <utility>
+
+#include <poll.h>
 
 #include "core/mining_types.h"
 #include "service/wire.h"
@@ -19,6 +22,16 @@ using service::ErrorResponse;
 using service::ItemsFromJson;
 using service::ItemsToJson;
 using service::OkResponse;
+
+using Clock = std::chrono::steady_clock;
+
+/// Milliseconds from now until `t`, rounded up, never negative (a poll
+/// timeout that wakes before a timer would spin).
+int MillisUntil(Clock::time_point t) {
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(t - Clock::now());
+  return static_cast<int>(std::max<int64_t>(0, left.count()));
+}
 
 uint64_t MicrosSince(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
@@ -147,39 +160,35 @@ Status RouterService::Init() {
   JsonValue request = JsonValue::Object();
   request.Set("verb", JsonValue::String("SHARDINFO"));
 
-  // Handshake every shard in parallel, with patience — in a fresh cluster
-  // the shards and the router race to their listen sockets.
+  // Handshake every shard at once, with patience — in a fresh cluster
+  // the shards and the router race to their listen sockets. Each round
+  // re-asks only the shards that have not answered yet.
   std::vector<JsonValue> infos(shards_.size());
   std::vector<char> reachable(shards_.size(), 0);
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, &infos, &reachable, &request] {
-      ShardState& shard = *shards_[i];
-      for (uint32_t attempt = 0; attempt <= options_.connect_retries;
-           ++attempt) {
-        if (attempt > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options_.connect_backoff_ms));
-        }
-        Result<service::ClientSession> session = service::ClientSession::Connect(
-            shard.entry.primary.host, shard.entry.primary.port);
-        if (!session.ok()) continue;
-        Result<JsonValue> response =
-            session->Call(request, options_.fanout_deadline_ms);
-        if (!response.ok() || response->kind() != JsonValue::Kind::kObject ||
-            !response->Has("ok") || !response->at("ok").AsBool()) {
-          continue;
-        }
-        infos[i] = std::move(*response);
+  std::vector<size_t> pending(shards_.size());
+  std::iota(pending.begin(), pending.end(), size_t{0});
+  for (uint32_t attempt = 0;
+       attempt <= options_.connect_retries && !pending.empty(); ++attempt) {
+    if (attempt > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options_.connect_backoff_ms));
+    }
+    std::vector<ShardReply> replies = RunLegs(
+        pending, [&request](size_t) -> const JsonValue& { return request; });
+    std::vector<size_t> unanswered;
+    for (size_t i : pending) {
+      const JsonValue& response = replies[i].response;
+      if (replies[i].has_response &&
+          response.kind() == JsonValue::Kind::kObject && response.Has("ok") &&
+          response.at("ok").AsBool()) {
+        infos[i] = std::move(replies[i].response);
         reachable[i] = 1;
-        std::lock_guard<std::mutex> lock(shard.pool_mu);
-        shard.idle.push_back(std::move(*session));
-        return;
+      } else {
+        unanswered.push_back(i);
       }
-    });
+    }
+    pending = std::move(unanswered);
   }
-  for (std::thread& thread : threads) thread.join();
 
   // Config identity: pruning and INSERT leaf updates hash queries with the
   // shards' own hash family, so every shard must agree on it.
@@ -331,31 +340,38 @@ obs::JsonValue RouterService::Handle(const obs::JsonValue& request,
   return response;
 }
 
-RouterService::ShardReply RouterService::CallShard(
-    size_t idx, const obs::JsonValue& request) {
-  ShardState& shard = *shards_[idx];
-  const std::string verb = VerbOf(request);
-  const bool idempotent = service::IsIdempotentVerb(verb);
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline =
-      start + std::chrono::milliseconds(options_.fanout_deadline_ms);
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
+struct RouterService::Leg {
+  enum class Phase {
+    kConnecting,  ///< fresh connection's handshake under way (POLLOUT)
+    kAwaiting,    ///< request written, waiting for the answer (POLLIN)
+    kBackoff,     ///< the shard shed load; re-send when the timer fires
+    kDone,
+  };
 
-  ShardReply reply;
-  uint64_t jitter_state = options_.retry.jitter_seed + idx;
-  uint32_t backoff_attempts = 0;
-  bool hedged = false;
-  bool failover_retried = false;
-  Status failure = Status::Unavailable("fan-out deadline exhausted");
-  while (true) {
-    const int64_t remaining_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now())
+  Leg(RouterService* router, size_t idx, const JsonValue* request)
+      : router(router),
+        shard(*router->shards_[idx]),
+        idx(idx),
+        request(request),
+        verb(VerbOf(*request)),
+        idempotent(service::IsIdempotentVerb(verb)),
+        start(Clock::now()),
+        deadline(start +
+                 std::chrono::milliseconds(
+                     router->options_.fanout_deadline_ms)),
+        jitter_state(router->options_.retry.jitter_seed + idx) {
+    shard.requests.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Checks a session out, arms the attempt timer and starts the
+  /// exchange; fails the leg once the deadline has passed.
+  void StartAttempt() {
+    const auto now = Clock::now();
+    attempt_remaining_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
             .count();
-    if (remaining_ms <= 0) break;
-
-    uint64_t session_gen = 0;
-    service::ClientSession session = [&] {
+    if (attempt_remaining_ms <= 0) return Fail();
+    {
       // Endpoint and generation are captured under ONE pool_mu hold, and
       // TryFailover flips the active endpoint inside the hold that bumps
       // the generation — so a session built here can never pair the
@@ -365,58 +381,94 @@ RouterService::ShardReply RouterService::CallShard(
       std::lock_guard<std::mutex> lock(shard.pool_mu);
       session_gen = shard.pool_gen;
       if (!shard.idle.empty()) {
-        service::ClientSession pooled = std::move(shard.idle.back());
+        session.emplace(std::move(shard.idle.back()));
         shard.idle.pop_back();
-        return pooled;
+      } else {
+        const ShardEndpoint endpoint = router->ActiveEndpoint(shard);
+        session.emplace(endpoint.host, endpoint.port);
       }
-      const ShardEndpoint endpoint = ActiveEndpoint(shard);
-      return service::ClientSession(endpoint.host, endpoint.port);
-    }();
-
+    }
     // Hedge arming: the first idempotent attempt waits only hedge_ms; if
     // that fires, the straggler's socket is abandoned and the request is
-    // re-issued once on a fresh connection with the remaining budget.
-    const bool hedge_armed = idempotent && !hedged && options_.hedge_ms > 0 &&
-                             options_.hedge_ms < remaining_ms;
-    const int timeout_ms =
-        hedge_armed ? options_.hedge_ms : static_cast<int>(remaining_ms);
+    // re-issued once with the remaining budget.
+    const int hedge_ms = router->options_.hedge_ms;
+    hedge_armed = idempotent && !hedged && hedge_ms > 0 &&
+                  hedge_ms < attempt_remaining_ms;
+    timer = now + std::chrono::milliseconds(hedge_armed ? hedge_ms
+                                                        : attempt_remaining_ms);
+    if (session->connected()) return Send();
+    Status started = session->StartConnect();
+    if (!started.ok()) return OnError(started);
+    phase = Phase::kConnecting;
+  }
 
-    Result<JsonValue> response = session.Call(request, timeout_ms);
-    if (response.ok()) {
-      const bool backpressured = IsBackpressure(*response);
-      {
-        // The generation check drops sessions checked out before a
-        // failover: a pooled socket to the demoted primary must never
-        // serve a post-promotion request.
-        std::lock_guard<std::mutex> lock(shard.pool_mu);
-        if (session.connected() && shard.idle.size() < options_.pool_size &&
-            shard.pool_gen == session_gen) {
-          shard.idle.push_back(std::move(session));
-        }
+  /// kAwaiting: the answer (or EOF / an error) arrived.
+  void Receive() {
+    Result<JsonValue> response = session->Receive(MillisUntil(timer));
+    if (!response.ok()) return OnError(response.status());
+    OnResponse(std::move(*response));
+  }
+
+  /// The timer fired: backoff over, or the attempt went silent.
+  void OnTimer() {
+    if (phase == Phase::kBackoff) return StartAttempt();
+    const Status silence =
+        phase == Phase::kConnecting
+            ? Status::Unavailable("connect " + session->host() + ":" +
+                                  std::to_string(session->port()) +
+                                  " timed out")
+            : Status::Unavailable("recv timed out");
+    session.reset();  // the stream may still deliver a stale answer
+    OnError(silence);
+  }
+
+  /// Writes the request; from kConnecting, once the socket turned
+  /// writable (connected or refused).
+  void Send() {
+    Status sent = session->Send(*request, MillisUntil(timer));
+    if (!sent.ok()) return OnError(sent);
+    phase = Phase::kAwaiting;
+  }
+
+  void OnResponse(JsonValue response) {
+    const bool backpressured = IsBackpressure(response);
+    {
+      // The generation check drops sessions checked out before a
+      // failover: a pooled socket to the demoted primary must never serve
+      // a post-promotion request.
+      std::lock_guard<std::mutex> lock(shard.pool_mu);
+      if (session->connected() &&
+          shard.idle.size() < router->options_.pool_size &&
+          shard.pool_gen == session_gen) {
+        shard.idle.push_back(std::move(*session));
       }
-      if (backpressured && backoff_attempts < options_.retry.retries) {
-        failure = Status::Unavailable(
-            "fan-out deadline exhausted while the shard shed load "
-            "(backpressure)");
-        ++backoff_attempts;
-        uint64_t sleep_ms = service::RetryBackoffMs(
-            options_.retry, backoff_attempts, &jitter_state);
-        sleep_ms = std::min<uint64_t>(
-            sleep_ms, static_cast<uint64_t>(std::max<int64_t>(
-                          0, remaining_ms - 1)));
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-        continue;
-      }
-      reply.has_response = true;
-      reply.response = std::move(*response);
-      size_t bucket = obs::Log2Bucket(MicrosSince(start));
-      if (bucket > obs::DepthHistogram::kMaxTrackedDepth) bucket = 0;
-      shard.latency[bucket].fetch_add(1, std::memory_order_relaxed);
-      NoteShardSuccess(idx, reply.response, verb);
-      return reply;
     }
+    session.reset();
+    const service::RetryOptions& retry = router->options_.retry;
+    if (backpressured && backoff_attempts < retry.retries) {
+      failure = Status::Unavailable(
+          "fan-out deadline exhausted while the shard shed load "
+          "(backpressure)");
+      ++backoff_attempts;
+      uint64_t sleep_ms =
+          service::RetryBackoffMs(retry, backoff_attempts, &jitter_state);
+      sleep_ms = std::min<uint64_t>(
+          sleep_ms, static_cast<uint64_t>(
+                        std::max<int64_t>(0, attempt_remaining_ms - 1)));
+      phase = Phase::kBackoff;
+      timer = Clock::now() + std::chrono::milliseconds(sleep_ms);
+      return;
+    }
+    reply.has_response = true;
+    reply.response = std::move(response);
+    size_t bucket = obs::Log2Bucket(MicrosSince(start));
+    if (bucket > obs::DepthHistogram::kMaxTrackedDepth) bucket = 0;
+    shard.latency[bucket].fetch_add(1, std::memory_order_relaxed);
+    phase = Phase::kDone;
+    router->NoteShardSuccess(idx, reply.response, verb);
+  }
 
-    const Status& status = response.status();
+  void OnError(const Status& status) {
     if (status.code() == StatusCode::kUnavailable) {
       // Silence: a connect or response timeout. A slow shard is not a
       // dead shard — a MINE can legitimately outlive the fan-out
@@ -429,8 +481,8 @@ RouterService::ShardReply RouterService::CallShard(
       if (hedge_armed) {
         hedged = true;
         shard.hedged.fetch_add(1, std::memory_order_relaxed);
-        metrics_.Inc(metrics_.hedged_requests);
-        continue;
+        router->metrics_.Inc(router->metrics_.hedged_requests);
+        return StartAttempt();
       }
       failure = idempotent
                     ? status
@@ -438,7 +490,7 @@ RouterService::ShardReply RouterService::CallShard(
                           "response timed out after the request was sent; "
                           "it may or may not have been applied (" +
                           status.message() + ")");
-      break;
+      return Fail();
     }
     // Transport-level failure (connect refused/reset, peer closed): the
     // process is provably gone, not slow. Mark the shard down now, and
@@ -450,19 +502,118 @@ RouterService::ShardReply RouterService::CallShard(
     // routes to the promoted replica).
     failure = status;
     shard.up.store(false, std::memory_order_relaxed);
-    if (!failover_retried && TryFailover(idx) && idempotent) {
+    if (!failover_retried && router->TryFailover(idx) && idempotent) {
       failover_retried = true;
-      continue;
+      return StartAttempt();
     }
-    break;
+    Fail();
   }
-  // Note what this loop did NOT do: a shard that answered with
-  // backpressure is alive (shedding load is not downtime), and one that
-  // merely timed out may be alive — neither is flipped down here.
-  shard.errors.fetch_add(1, std::memory_order_relaxed);
-  metrics_.Inc(metrics_.shard_errors);
-  reply.status = failure;
-  return reply;
+
+  void Fail() {
+    // Note what a leg does NOT do: a shard that answered with
+    // backpressure is alive (shedding load is not downtime), and one that
+    // merely timed out may be alive — neither is flipped down here.
+    session.reset();
+    shard.errors.fetch_add(1, std::memory_order_relaxed);
+    router->metrics_.Inc(router->metrics_.shard_errors);
+    reply.status = failure;
+    phase = Phase::kDone;
+  }
+
+  RouterService* router;
+  ShardState& shard;
+  const size_t idx;
+  const JsonValue* request;
+  const std::string verb;
+  const bool idempotent;
+  const Clock::time_point start;
+  const Clock::time_point deadline;
+
+  Phase phase = Phase::kDone;
+  /// When the current phase gives up: the hedge or deadline of an
+  /// attempt, or the end of a backoff.
+  Clock::time_point timer;
+  std::optional<service::ClientSession> session;
+  uint64_t session_gen = 0;
+  int64_t attempt_remaining_ms = 0;
+  bool hedge_armed = false;
+  bool hedged = false;
+  bool failover_retried = false;
+  uint32_t backoff_attempts = 0;
+  uint64_t jitter_state;
+  Status failure = Status::Unavailable("fan-out deadline exhausted");
+  ShardReply reply;
+};
+
+std::vector<RouterService::ShardReply> RouterService::RunLegs(
+    const std::vector<size_t>& targets,
+    const std::function<const obs::JsonValue&(size_t)>& request_for) {
+  std::vector<std::unique_ptr<Leg>> legs;
+  legs.reserve(targets.size());
+  for (size_t idx : targets) {
+    legs.push_back(std::make_unique<Leg>(this, idx, &request_for(idx)));
+    legs.back()->StartAttempt();
+  }
+  std::vector<pollfd> fds;
+  std::vector<Leg*> polled;
+  for (;;) {
+    fds.clear();
+    polled.clear();
+    std::optional<Clock::time_point> next_timer;
+    for (const auto& leg : legs) {
+      if (leg->phase == Leg::Phase::kDone) continue;
+      if (!next_timer || leg->timer < *next_timer) next_timer = leg->timer;
+      if (leg->phase == Leg::Phase::kBackoff) continue;
+      const short events =
+          leg->phase == Leg::Phase::kConnecting ? POLLOUT : POLLIN;
+      fds.push_back(pollfd{leg->session->fd(), events, 0});
+      polled.push_back(leg.get());
+    }
+    if (!next_timer) break;
+    if (::poll(fds.data(), fds.size(), MillisUntil(*next_timer)) < 0) {
+      // EINTR (or a transient failure): no leg is known ready; timers
+      // still advance, so the loop ends by the deadlines regardless.
+      for (pollfd& p : fds) p.revents = 0;
+    }
+    // Answers first: a leg whose reply and timer are both due keeps the
+    // reply. `now` predates the handlers below, so a timer that comes due
+    // while one of them blocks (TryFailover's probes, a leaf pull) is
+    // checked against a fresh poll before it fires.
+    const auto now = Clock::now();
+    for (size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      if (polled[i]->phase == Leg::Phase::kConnecting) {
+        polled[i]->Send();
+      } else {
+        polled[i]->Receive();
+      }
+    }
+    for (const auto& leg : legs) {
+      if (leg->phase != Leg::Phase::kDone && leg->timer <= now) {
+        leg->OnTimer();
+      }
+    }
+  }
+  std::vector<ShardReply> replies(shards_.size());
+  for (const auto& leg : legs) replies[leg->idx] = std::move(leg->reply);
+  return replies;
+}
+
+std::vector<RouterService::ShardReply> RouterService::FanOut(
+    const std::vector<size_t>& targets,
+    const std::function<const obs::JsonValue&(size_t)>& request_for) {
+  const auto begin = Clock::now();
+  std::vector<ShardReply> replies = RunLegs(targets, request_for);
+  metrics_.ObserveLog2(metrics_.fanout_latency, MicrosSince(begin));
+  return replies;
+}
+
+RouterService::ShardReply RouterService::CallShard(
+    size_t idx, const obs::JsonValue& request) {
+  return std::move(
+      RunLegs({idx}, [&request](size_t) -> const JsonValue& {
+        return request;
+      })[idx]);
 }
 
 void RouterService::NoteShardSuccess(size_t idx, const obs::JsonValue& response,
@@ -530,7 +681,10 @@ void RouterService::RefreshShard(size_t idx) {
 
 bool RouterService::TryFailover(size_t idx) {
   ShardState& shard = *shards_[idx];
-  if (!shard.entry.has_replica) return false;
+  // Before Init has the fleet's config (hash_) there is nothing to check a
+  // replica against: a shard dark through the handshake enters service
+  // down, and the prober fails it over later.
+  if (!shard.entry.has_replica || hash_ == nullptr) return false;
   if (shard.on_replica.load(std::memory_order_acquire)) {
     // Already promoted (possibly by a racing leg): the shard is as failed
     // over as it will get; report whether it is serving.
@@ -734,36 +888,12 @@ bool RouterService::ProbeShard(size_t idx) {
   return true;
 }
 
-std::vector<RouterService::ShardReply> RouterService::FanOut(
-    const std::vector<size_t>& targets,
-    const std::function<const obs::JsonValue&(size_t)>& request_for) {
-  const auto begin = std::chrono::steady_clock::now();
-  std::vector<ShardReply> replies(shards_.size());
-  if (targets.size() == 1) {
-    replies[targets.front()] =
-        CallShard(targets.front(), request_for(targets.front()));
-  } else if (!targets.empty()) {
-    std::vector<std::thread> threads;
-    threads.reserve(targets.size());
-    for (size_t idx : targets) {
-      threads.emplace_back([this, idx, &replies, &request_for] {
-        replies[idx] = CallShard(idx, request_for(idx));
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
-  metrics_.ObserveLog2(metrics_.fanout_latency, MicrosSince(begin));
-  return replies;
-}
-
-std::vector<uint32_t> RouterService::QueryPositions(const Itemset& items) {
+std::vector<uint32_t> RouterService::QueryPositions(
+    const Itemset& items) const {
   std::vector<uint32_t> positions;
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    for (ItemId item : items) {
-      const std::vector<uint32_t>& p = hash_->Positions(item);
-      positions.insert(positions.end(), p.begin(), p.end());
-    }
+  for (ItemId item : items) {
+    const std::vector<uint32_t>& p = hash_->Positions(item);
+    positions.insert(positions.end(), p.begin(), p.end());
   }
   std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),

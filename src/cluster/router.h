@@ -8,7 +8,7 @@
 //
 // Verb semantics (docs/CLUSTER.md is the spec):
 //   COUNT  — Bloofi-prune shards whose signatures cannot cover the query,
-//            fan out to the rest in parallel, sum counts in shard order.
+//            fan out to the rest, sum counts in shard order.
 //            Bit-identical to a single node over the concatenated data.
 //   MINE   — two-round global-τ candidate exchange (cluster/merge.h).
 //            Bit-identical patterns, supports, order, and truncation.
@@ -26,8 +26,12 @@
 //   DUMP   — InvalidArgument (per-connection flight recording is a
 //            daemon-local concern).
 //
+// Fan-out: the thread handling a request drives all of its legs itself —
+// it writes every leg's request, then poll()s the legs' sockets, so the
+// legs overlap without a thread per leg.
+//
 // Robustness: every fan-out leg runs under a per-leg deadline; idempotent
-// legs may hedge (re-issue on a fresh connection after hedge_ms of
+// legs may hedge (re-issue on another connection after hedge_ms of
 // silence — the straggler's socket is abandoned, the at-most-once rules
 // from service/client.h still hold because only idempotent verbs hedge).
 // When shards stay unreachable the router answers anyway from the
@@ -98,8 +102,8 @@ struct RouterOptions {
   service::RetryOptions retry;
   /// Total budget per downstream leg, hedge included.
   int fanout_deadline_ms = 5000;
-  /// After this many ms of silence an idempotent leg is re-issued on a
-  /// fresh connection (0 = no hedging).
+  /// After this many ms of silence an idempotent leg is re-issued on
+  /// another connection (0 = no hedging).
   int hedge_ms = 0;
   /// Bloofi pruning (off = every COUNT fans out everywhere; answers are
   /// identical either way — that equivalence is pinned by tests).
@@ -249,14 +253,23 @@ class RouterService : public service::RequestHandler {
   obs::JsonValue HandleCheckpoint();
   obs::JsonValue HandleShardInfo();
 
-  /// One leg: check a session out of shard `idx`'s pool, exchange
-  /// `request` under the fan-out deadline with backpressure retries and
-  /// (for idempotent verbs) hedging, update health/latency bookkeeping.
-  ShardReply CallShard(size_t idx, const obs::JsonValue& request);
+  /// One downstream leg: a state machine that checks a session out of
+  /// its shard's pool, exchanges one request under the fan-out deadline
+  /// with backpressure backoff, hedging (idempotent verbs) and failover,
+  /// and keeps the shard's health/latency bookkeeping (router.cc).
+  struct Leg;
 
-  /// Runs CallShard(idx, request_for(idx)) for every index in `targets` in
-  /// parallel; results land at their shard index in the returned vector
-  /// (non-targets stay empty-handed with has_response == false).
+  /// Drives one leg per index in `targets` (request_for(idx) is its
+  /// request) from the calling thread: every leg's request is written
+  /// first, then one poll() loop serves whichever leg answers or whose
+  /// timer (hedge, backoff, deadline) fires. Results land at their shard
+  /// index in the returned vector (non-targets stay empty-handed with
+  /// has_response == false).
+  std::vector<ShardReply> RunLegs(
+      const std::vector<size_t>& targets,
+      const std::function<const obs::JsonValue&(size_t)>& request_for);
+
+  /// RunLegs for a request's fan-out, timed into cluster.fanout_us.
   std::vector<ShardReply> FanOut(
       const std::vector<size_t>& targets,
       const std::function<const obs::JsonValue&(size_t)>& request_for);
@@ -269,9 +282,11 @@ class RouterService : public service::RequestHandler {
     });
   }
 
-  /// The sorted union of the query items' hash positions (guards the
-  /// non-thread-safe BloomHashFamily cache).
-  std::vector<uint32_t> QueryPositions(const Itemset& items);
+  /// The one-leg case (INSERT to the tail shard, leaf pulls).
+  ShardReply CallShard(size_t idx, const obs::JsonValue& request);
+
+  /// The sorted union of the query items' hash positions.
+  std::vector<uint32_t> QueryPositions(const Itemset& items) const;
 
   /// Bloofi-matched shard indices for the query (everything when pruning
   /// is off); records pruned-shard counters.
@@ -337,8 +352,8 @@ class RouterService : public service::RequestHandler {
 
   BbsConfig config_;
   bool mine_enabled_ = false;
+  /// Set by Init; Positions is thread-safe, so lookups take no lock.
   std::unique_ptr<BloomHashFamily> hash_;
-  mutable std::mutex hash_mu_;
 
   BloofiTree tree_;
   mutable std::shared_mutex tree_mu_;

@@ -47,7 +47,8 @@ enum TraceCategory : uint32_t {
   // admission-to-batch queue wait, the scheduler batch that answered it,
   // and the per-(query, segment) fan-out cells of that batch. Correlated
   // by "trace_id" / "batch" args rather than nesting, since the spans land
-  // on different threads (connection, dispatcher, pool workers).
+  // on different threads (the request's connection thread, the batch
+  // leader's, pool workers).
   kTraceRequest = 1u << 5,  // whole-request spans in Server::Handle
   kTraceQueue = 1u << 6,    // scheduler admission queue wait
   kTraceBatch = 1u << 7,    // scheduler batch execution

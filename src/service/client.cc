@@ -71,24 +71,38 @@ Result<ClientSession> ClientSession::Connect(const std::string& host,
 
 Result<obs::JsonValue> ClientSession::Call(const obs::JsonValue& request,
                                            int timeout_ms) {
-  if (!fd_.valid()) {
-    // The connect shares the call's deadline: against a blackholed daemon
-    // a default (blocking) connect would stall far past `timeout_ms`.
-    Result<OwnedFd> fd = ConnectTcp(host_, port_, timeout_ms);
-    if (!fd.ok()) return fd.status();
-    fd_ = std::move(*fd);
+  BBSMINE_RETURN_IF_ERROR(Send(request, timeout_ms));
+  return Receive(timeout_ms);
+}
+
+Status ClientSession::StartConnect() {
+  if (fd_.valid()) return Status::Ok();
+  Result<OwnedFd> fd = StartConnectTcp(host_, port_);
+  if (!fd.ok()) return fd.status();
+  fd_ = std::move(*fd);
+  connecting_ = true;
+  return Status::Ok();
+}
+
+Status ClientSession::Send(const obs::JsonValue& request, int timeout_ms) {
+  // The connect shares the call's deadline: against a blackholed daemon
+  // a default (blocking) connect would stall far past `timeout_ms`.
+  Status status = StartConnect();
+  if (status.ok() && connecting_) {
+    status = FinishConnectTcp(fd_.get(), host_, port_, timeout_ms);
+    connecting_ = false;
   }
-  Status sent = WriteFrame(fd_.get(), request);
-  if (!sent.ok()) {
-    Close();
-    return sent;
-  }
+  if (status.ok()) status = WriteFrame(fd_.get(), request);
+  if (!status.ok()) Close();
+  return status;
+}
+
+Result<obs::JsonValue> ClientSession::Receive(int timeout_ms) {
   Result<obs::JsonValue> response = ReadFrame(fd_.get(), timeout_ms);
   if (!response.ok()) {
     // Timeout or broken transport: the stream may still carry (part of) a
     // stale response, so it cannot be reused for the next request.
     Close();
-    return response.status();
   }
   return response;
 }

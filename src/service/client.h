@@ -97,18 +97,43 @@ class ClientSession {
 
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
+  /// True once a socket exists (possibly with its handshake still under
+  /// way after StartConnect).
   bool connected() const { return fd_.valid(); }
-  void Close() { fd_.Reset(); }
+  void Close() {
+    fd_.Reset();
+    connecting_ = false;
+  }
 
-  /// One request/response exchange (no retries). Reconnects first when the
-  /// session is closed. Errors:
-  ///  * kUnavailable — the request was fully sent but no response arrived
-  ///    within `timeout_ms` (the socket is closed; whether the daemon
-  ///    applied the request is unknown — callers own the idempotence
-  ///    decision, or use CallWithRetry which applies the standard policy);
+  /// The socket, for polling (-1 when closed).
+  int fd() const { return fd_.get(); }
+
+  /// One request/response exchange (no retries): Send, then Receive.
+  /// Reconnects first when the session is closed. Errors:
+  ///  * kUnavailable — the connect timed out, or the request was fully
+  ///    sent but no response arrived within `timeout_ms` (the socket is
+  ///    closed; whether the daemon applied the request is unknown —
+  ///    callers own the idempotence decision, or use CallWithRetry which
+  ///    applies the standard policy);
   ///  * anything else — transport failure (socket closed).
   Result<obs::JsonValue> Call(const obs::JsonValue& request,
                               int timeout_ms = 30'000);
+
+  /// Starts a non-blocking connect when the session is closed (a no-op
+  /// otherwise), so one thread can drive many sessions: poll fd() for
+  /// POLLOUT, then Send completes the handshake.
+  Status StartConnect();
+
+  /// Writes one request frame. Connects first when the session is closed,
+  /// or completes a StartConnect handshake, within `timeout_ms`. Any
+  /// failure closes the session.
+  Status Send(const obs::JsonValue& request, int timeout_ms = 30'000);
+
+  /// Reads one response frame, waiting at most `timeout_ms` for it to
+  /// start: kUnavailable on timeout, anything else is a transport failure.
+  /// Any failure closes the session (the stream may still carry a stale
+  /// response).
+  Result<obs::JsonValue> Receive(int timeout_ms = 30'000);
 
   /// The standard retry policy (header comment above) over this session:
   /// backpressure retries reuse the live connection; timeouts on
@@ -124,6 +149,7 @@ class ClientSession {
   std::string host_;
   uint16_t port_ = 0;
   OwnedFd fd_;
+  bool connecting_ = false;  // StartConnect's handshake not yet completed
 };
 
 /// One-shot convenience: a throwaway session around

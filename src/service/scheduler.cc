@@ -11,6 +11,17 @@
 
 namespace bbsmine::service {
 
+namespace {
+
+/// The leader's helpers: a batch runs on num_threads threads, the leader
+/// being one of them, so a single-threaded scheduler owns no thread.
+std::unique_ptr<ThreadPool> MakeHelpers(size_t num_threads) {
+  const size_t threads = ResolveThreads(num_threads);
+  return threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
+}
+
+}  // namespace
+
 CountScheduler::CountScheduler(const SnapshotManager* index,
                                const SchedulerOptions& options,
                                ServiceMetrics* metrics, obs::Tracer* tracer)
@@ -18,57 +29,89 @@ CountScheduler::CountScheduler(const SnapshotManager* index,
       options_(options),
       metrics_(metrics),
       tracer_(tracer),
-      pool_(ResolveThreads(options.num_threads)),
-      dispatcher_([this] { DispatcherLoop(); }) {}
+      pool_(MakeHelpers(options.num_threads)) {}
 
 CountScheduler::~CountScheduler() { Shutdown(); }
 
 Status CountScheduler::Count(const Itemset& items, const CountObs& obs,
                              CountResult* out) {
-  Itemset canonical = items;
-  Canonicalize(&canonical);
-  if (canonical.empty()) {
+  Request request;
+  request.items = items;
+  Canonicalize(&request.items);
+  if (request.items.empty()) {
     return Status::InvalidArgument("COUNT requires a non-empty itemset");
   }
-  std::future<CountResult> answer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      return Status::Unavailable("scheduler is draining");
-    }
-    if (queue_.size() >= options_.max_pending) {
-      if (metrics_ != nullptr) {
-        metrics_->Inc(metrics_->rejected_backpressure);
-      }
-      return Status::Unavailable(
-          "admission queue full (" + std::to_string(options_.max_pending) +
-          " pending); retry later");
-    }
-    Request request;
-    request.items = std::move(canonical);
-    request.trace_id = obs.trace_id;
-    request.sampled = obs.sampled && tracer_ != nullptr;
-    request.admitted_at = std::chrono::steady_clock::now();
-    if (request.sampled) request.admit_ts_us = tracer_->NowMicros();
-    answer = request.promise.get_future();
-    queue_.push_back(std::move(request));
+  request.trace_id = obs.trace_id;
+  request.sampled = obs.sampled && tracer_ != nullptr;
+
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stop_) {
+    return Status::Unavailable("scheduler is draining");
+  }
+  if (queue_.size() >= options_.max_pending) {
     if (metrics_ != nullptr) {
-      metrics_->GaugeMax(metrics_->queue_depth, queue_.size());
+      metrics_->Inc(metrics_->rejected_backpressure);
+    }
+    return Status::Unavailable(
+        "admission queue full (" + std::to_string(options_.max_pending) +
+        " pending); retry later");
+  }
+  request.admitted_at = std::chrono::steady_clock::now();
+  if (request.sampled) request.admit_ts_us = tracer_->NowMicros();
+  queue_.push_back(&request);
+  ++callers_;
+  if (metrics_ != nullptr) {
+    metrics_->GaugeMax(metrics_->queue_depth, queue_.size());
+  }
+  if (running_) {
+    // Follow: the running batch's leader answers this request in a later
+    // batch, or hands it the lead of the next one.
+    request.wake.wait(lock,
+                      [&request] { return request.done || request.lead; });
+  } else {
+    running_ = true;
+    request.lead = true;
+  }
+
+  if (!request.done) {
+    // Lead. This request is the queue's oldest (a new leader finds the
+    // queue empty; a handed-over lead goes to the front), so it is in the
+    // batch it runs.
+    std::vector<Request*> batch(
+        std::min(queue_.size(), std::max<size_t>(options_.max_batch, 1)));
+    for (Request*& slot : batch) {
+      slot = queue_.front();
+      queue_.pop_front();
+    }
+    lock.unlock();
+    RunBatch(batch);
+    lock.lock();
+    // Wake-ups go out under mu_: a follower's Request (and its condition
+    // variable) lives on its stack, and it cannot see `done` and return
+    // before the lock is released.
+    for (Request* answered : batch) {
+      answered->done = true;
+      if (answered != &request) answered->wake.notify_one();
+    }
+    if (!queue_.empty()) {
+      queue_.front()->lead = true;
+      queue_.front()->wake.notify_one();
+    } else {
+      running_ = false;
     }
   }
-  cv_.notify_one();
-  *out = answer.get();
+  *out = request.result;
+  if (--callers_ == 0 && stop_) drained_.notify_all();
   return Status::Ok();
 }
 
 void CountScheduler::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  std::lock_guard<std::mutex> join_lock(join_mu_);
-  if (dispatcher_.joinable()) dispatcher_.join();
+  std::unique_lock<std::mutex> lock(mu_);
+  stop_ = true;
+  // Admitted requests always have a leader (or are one), so they drain on
+  // their own. Waiting for their callers to leave Count, not just for the
+  // answers, lets the scheduler be destroyed as soon as this returns.
+  drained_.wait(lock, [this] { return callers_ == 0; });
 }
 
 size_t CountScheduler::pending() const {
@@ -76,42 +119,33 @@ size_t CountScheduler::pending() const {
   return queue_.size();
 }
 
-void CountScheduler::DispatcherLoop() {
-  for (;;) {
-    std::vector<Request> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and fully drained
-      size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    RunBatch(&batch);
+void CountScheduler::ForEachCell(size_t n,
+                                 const std::function<void(size_t)>& body) {
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(n, body);
+    return;
   }
+  for (size_t i = 0; i < n; ++i) body(i);
 }
 
-void CountScheduler::RunBatch(std::vector<Request>* batch) {
+void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
   const uint64_t batch_id = ++next_batch_id_;
   const auto batch_started_at = std::chrono::steady_clock::now();
   const bool any_sampled =
-      std::any_of(batch->begin(), batch->end(),
-                  [](const Request& r) { return r.sampled; });
+      std::any_of(batch.begin(), batch.end(),
+                  [](const Request* r) { return r->sampled; });
   const double batch_ts_us =
       (tracer_ != nullptr && any_sampled) ? tracer_->NowMicros() : 0;
 
-  // Queue-wait spans: admission to batch start, recorded on the dispatcher
+  // Queue-wait spans: admission to batch start, recorded on the leader's
   // thread but attributed to the request via its trace_id arg.
   if (tracer_ != nullptr && tracer_->enabled(obs::kTraceQueue)) {
-    for (const Request& r : *batch) {
-      if (!r.sampled) continue;
-      std::string args = "\"trace_id\": \"" + obs::JsonEscape(r.trace_id) +
+    for (const Request* r : batch) {
+      if (!r->sampled) continue;
+      std::string args = "\"trace_id\": \"" + obs::JsonEscape(r->trace_id) +
                          "\", \"batch\": " + std::to_string(batch_id);
       tracer_->AddComplete(obs::kTraceQueue, "count.queue_wait",
-                           r.admit_ts_us, batch_ts_us - r.admit_ts_us,
+                           r->admit_ts_us, batch_ts_us - r->admit_ts_us,
                            std::move(args));
     }
   }
@@ -122,10 +156,9 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   // Collapse identical itemsets, preserving first-arrival order.
   std::map<Itemset, size_t> group_of;
   std::vector<const Itemset*> uniques;
-  std::vector<size_t> request_group(batch->size());
-  for (size_t r = 0; r < batch->size(); ++r) {
-    auto [it, inserted] =
-        group_of.emplace((*batch)[r].items, uniques.size());
+  std::vector<size_t> request_group(batch.size());
+  for (size_t r = 0; r < batch.size(); ++r) {
+    auto [it, inserted] = group_of.emplace(batch[r]->items, uniques.size());
     if (inserted) uniques.push_back(&it->first);
     request_group[r] = it->second;
   }
@@ -134,8 +167,8 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   // attributing per-segment spans of the fan-out below.
   std::vector<const std::string*> group_trace(uniques.size(), nullptr);
   if (tracer_ != nullptr && tracer_->enabled(obs::kTraceSegment)) {
-    for (size_t r = 0; r < batch->size(); ++r) {
-      const Request& req = (*batch)[r];
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const Request& req = *batch[r];
       if (req.sampled && group_trace[request_group[r]] == nullptr) {
         group_trace[request_group[r]] = &req.trace_id;
       }
@@ -166,7 +199,7 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   std::vector<ItemId> shared_items(shared_slot.size());
   for (const auto& [item, slot] : shared_slot) shared_items[slot] = item;
   std::vector<CacheEntry> cache(shared_slot.size() * num_segments);
-  pool_.ParallelFor(cache.size(), [&](size_t cell) {
+  ForEachCell(cache.size(), [&](size_t cell) {
     size_t seg_idx = cell / shared_items.size();
     ItemId item = shared_items[cell % shared_items.size()];
     CacheEntry& entry = cache[cell];
@@ -179,7 +212,7 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   std::vector<size_t> cell_counts(uniques.size() * num_segments, 0);
   std::vector<uint64_t> cell_words(cell_counts.size(), 0);
   std::atomic<uint64_t> seeded{0};
-  pool_.ParallelFor(cell_counts.size(), [&](size_t cell) {
+  ForEachCell(cell_counts.size(), [&](size_t cell) {
     size_t q_idx = cell / num_segments;
     size_t seg_idx = cell % num_segments;
     const Itemset& query = *uniques[q_idx];
@@ -242,23 +275,23 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   CountResult base;
   base.epoch = snap.epoch();
   base.visible_transactions = snap.num_transactions();
-  base.batch_size = static_cast<uint32_t>(batch->size());
+  base.batch_size = static_cast<uint32_t>(batch.size());
   base.batch_id = batch_id;
-  for (size_t r = 0; r < batch->size(); ++r) {
+  for (size_t r = 0; r < batch.size(); ++r) {
     CountResult result = base;
     result.count = totals[request_group[r]];
     result.slice_words = group_words[request_group[r]];
     result.queue_wait_us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            batch_started_at - (*batch)[r].admitted_at)
+            batch_started_at - batch[r]->admitted_at)
             .count());
-    (*batch)[r].promise.set_value(result);
+    batch[r]->result = result;
   }
 
   if (tracer_ != nullptr && any_sampled &&
       tracer_->enabled(obs::kTraceBatch)) {
     std::string args = "\"batch\": " + std::to_string(batch_id) +
-                       ", \"size\": " + std::to_string(batch->size()) +
+                       ", \"size\": " + std::to_string(batch.size()) +
                        ", \"uniques\": " + std::to_string(uniques.size()) +
                        ", \"shared_items\": " +
                        std::to_string(shared_items.size()) +
@@ -270,12 +303,12 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
 
   if (metrics_ != nullptr) {
     metrics_->Inc(metrics_->batches);
-    if (batch->size() > 1) {
-      metrics_->Inc(metrics_->batch_fused_requests, batch->size());
+    if (batch.size() > 1) {
+      metrics_->Inc(metrics_->batch_fused_requests, batch.size());
     }
     metrics_->Inc(metrics_->shared_seed_queries, seeded.load());
-    metrics_->GaugeMax(metrics_->batch_size_peak, batch->size());
-    metrics_->ObserveLog2(metrics_->batch_size_hist, batch->size());
+    metrics_->GaugeMax(metrics_->batch_size_peak, batch.size());
+    metrics_->ObserveLog2(metrics_->batch_size_hist, batch.size());
   }
 }
 

@@ -9,17 +9,23 @@
 //   * admits requests into a bounded queue — a full queue rejects with
 //     Status::Unavailable (backpressure; the wire layer surfaces it as a
 //     retryable error) instead of letting latency grow without bound;
-//   * a dispatcher thread drains the queue in arrival order into batches
-//     (up to max_batch requests), acquires ONE snapshot per batch, and
-//     answers every request in the batch at that epoch — identical
-//     requests collapse to one evaluation;
+//   * runs batches on the callers' own threads (leader/follower, group-
+//     commit style): a caller that finds no batch running leads one — it
+//     takes the queue in arrival order (up to max_batch requests, its own
+//     first), acquires ONE snapshot, and answers every request in the
+//     batch at that epoch; identical requests collapse to one evaluation.
+//     Requests arriving meanwhile queue up, and when the batch ends the
+//     oldest of them is handed the lead with one targeted wake-up. An
+//     uncontended COUNT is answered on the thread that read it;
 //   * items shared by two or more distinct queries of a batch get their
 //     single-item transaction vectors computed once per segment (the
 //     shared slice streams); each query then seeds from the sparsest
 //     cached vector it contains and ANDs only its remaining items' slices;
-//   * per-(query, segment) work fans out over a ThreadPool; per-query
-//     totals are reduced in segment order, so every answer is bit-identical
-//     to a serial SegmentedBbs::CountItemSet over the same prefix.
+//   * per-(query, segment) work is split between the leader and, with
+//     num_threads = N > 1, N - 1 pool workers (one thread in total at
+//     N = 1: no pool exists); per-query totals are reduced in segment
+//     order, so every answer is bit-identical to a serial
+//     SegmentedBbs::CountItemSet over the same prefix.
 //
 // Count() blocks the calling (connection) thread until its batch executes;
 // the contract mirrors a synchronous RPC handler.
@@ -31,10 +37,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -50,8 +56,8 @@ struct SchedulerOptions {
   size_t max_pending = 1024;
   /// Largest number of requests fused into one batch.
   size_t max_batch = 256;
-  /// Worker threads for the per-(query, segment) fan-out (0 = one per
-  /// hardware thread).
+  /// Threads executing a batch's per-(query, segment) cells, the leading
+  /// caller included (0 = one per hardware thread).
   size_t num_threads = 0;
 };
 
@@ -89,7 +95,7 @@ class CountScheduler {
   CountScheduler(const SnapshotManager* index, const SchedulerOptions& options,
                  ServiceMetrics* metrics, obs::Tracer* tracer = nullptr);
 
-  /// Drains pending requests, then stops the dispatcher.
+  /// Drains pending requests (Shutdown).
   ~CountScheduler();
 
   CountScheduler(const CountScheduler&) = delete;
@@ -106,40 +112,49 @@ class CountScheduler {
   /// Same, with per-request observability context.
   Status Count(const Itemset& items, const CountObs& obs, CountResult* out);
 
-  /// Stops admitting, executes every already-admitted request, joins the
-  /// dispatcher. Idempotent.
+  /// Stops admitting and waits until every already-admitted request has
+  /// been answered and its Count call has returned. Idempotent.
   void Shutdown();
 
   /// Requests currently waiting for a batch.
   size_t pending() const;
 
  private:
+  /// One admitted request. It lives on its caller's stack; the queue and
+  /// the batch that answers it hold pointers.
   struct Request {
     Itemset items;
-    std::promise<CountResult> promise;
     std::string trace_id;
     bool sampled = false;
     std::chrono::steady_clock::time_point admitted_at;
     double admit_ts_us = 0;  ///< tracer timestamp at admission (if tracing)
+    CountResult result;      ///< written by the batch that answers it
+    // Guarded by mu_: set when the request is answered, or when it is
+    // handed the lead of the next batch; `wake` signals either.
+    bool done = false;
+    bool lead = false;
+    std::condition_variable wake;
   };
 
-  void DispatcherLoop();
-  void RunBatch(std::vector<Request>* batch);
+  void RunBatch(const std::vector<Request*>& batch);
+  /// Runs body(i) for i in [0, n) on the calling thread plus the pool.
+  void ForEachCell(size_t n, const std::function<void(size_t)>& body);
 
   const SnapshotManager* index_;
   SchedulerOptions options_;
   ServiceMetrics* metrics_;
   obs::Tracer* tracer_;
-  uint64_t next_batch_id_ = 0;  // dispatcher thread only
+  uint64_t next_batch_id_ = 0;  // the current leader only
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request> queue_;
+  std::deque<Request*> queue_;  // admitted, not yet in a batch
+  bool running_ = false;        // a leader is executing a batch
+  size_t callers_ = 0;          // admitted, Count not yet returned
   bool stop_ = false;
-  std::mutex join_mu_;  // serializes concurrent Shutdown calls
+  std::condition_variable drained_;  // callers_ reached 0 after Shutdown
 
-  ThreadPool pool_;
-  std::thread dispatcher_;
+  /// The leader's helpers: num_threads - 1 workers (none at 1 thread).
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace bbsmine::service

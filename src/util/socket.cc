@@ -61,18 +61,16 @@ Result<uint16_t> BoundPort(int fd) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
-Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port,
-                           int timeout_ms) {
+Result<OwnedFd> StartConnectTcp(const std::string& host, uint16_t port) {
   Result<sockaddr_in> addr = MakeAddr(host, port);
   if (!addr.ok()) return addr.status();
   OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return StatusFromErrno("socket");
-  const std::string target = host + ":" + std::to_string(port);
 
-  // Non-blocking connect + poll: a blocking ::connect against a blackholed
-  // host waits for the kernel default (minutes), far past any caller
-  // deadline. EINPROGRESS hands the handshake to poll, which honors
-  // `timeout_ms`; SO_ERROR then reports how the handshake actually ended.
+  // Non-blocking connect: a blocking ::connect against a blackholed host
+  // waits for the kernel default (minutes), far past any caller deadline.
+  // EINPROGRESS hands the handshake to poll (FinishConnectTcp, or a
+  // caller's own poll loop over many sockets).
   int flags = ::fcntl(fd.get(), F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK) != 0) {
     return StatusFromErrno("fcntl O_NONBLOCK");
@@ -82,35 +80,46 @@ Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port,
     rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&*addr),
                    sizeof(*addr));
   } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    if (errno != EINPROGRESS) {
-      return StatusFromErrno("connect " + target);
-    }
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    int ready;
-    do {
-      ready = ::poll(&pfd, 1, timeout_ms);
-    } while (ready < 0 && errno == EINTR);
-    if (ready < 0) return StatusFromErrno("poll");
-    if (ready == 0) {
-      return Status::Unavailable("connect " + target + " timed out after " +
-                                 std::to_string(timeout_ms) + " ms");
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      return StatusFromErrno("getsockopt SO_ERROR");
-    }
-    if (err != 0) {
-      errno = err;
-      return StatusFromErrno("connect " + target);
-    }
+  if (rc != 0 && errno != EINPROGRESS) {
+    return StatusFromErrno("connect " + host + ":" + std::to_string(port));
   }
-  if (::fcntl(fd.get(), F_SETFL, flags) != 0) {
+  return fd;
+}
+
+Status FinishConnectTcp(int fd, const std::string& host, uint16_t port,
+                        int timeout_ms) {
+  const std::string target = host + ":" + std::to_string(port);
+  pollfd pfd{fd, POLLOUT, 0};
+  int ready;
+  do {
+    ready = ::poll(&pfd, 1, timeout_ms);
+  } while (ready < 0 && errno == EINTR);
+  if (ready < 0) return StatusFromErrno("poll");
+  if (ready == 0) {
+    return Status::Unavailable("connect " + target + " timed out after " +
+                               std::to_string(timeout_ms) + " ms");
+  }
+  // SO_ERROR reports how the handshake actually ended.
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    return StatusFromErrno("getsockopt SO_ERROR");
+  }
+  if (err != 0) return StatusFromErrno(err, "connect " + target);
+  int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
     return StatusFromErrno("fcntl restore flags");
   }
   int one = 1;
-  (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return Status::Ok();
+}
+
+Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port,
+                           int timeout_ms) {
+  Result<OwnedFd> fd = StartConnectTcp(host, port);
+  if (!fd.ok()) return fd.status();
+  BBSMINE_RETURN_IF_ERROR(FinishConnectTcp(fd->get(), host, port, timeout_ms));
   return fd;
 }
 

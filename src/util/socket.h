@@ -69,6 +69,16 @@ Result<uint16_t> BoundPort(int fd);
 Result<OwnedFd> ConnectTcp(const std::string& host, uint16_t port,
                            int timeout_ms = 10'000);
 
+/// The two halves of ConnectTcp, for callers that drive many connects from
+/// one poll loop. StartConnectTcp returns a non-blocking socket whose
+/// handshake is under way (or already done); a refused connect can fail
+/// right here. Poll it for POLLOUT, then FinishConnectTcp waits at most
+/// `timeout_ms` more, reports how the handshake ended (a timeout returns
+/// Unavailable) and puts the socket back in blocking mode.
+Result<OwnedFd> StartConnectTcp(const std::string& host, uint16_t port);
+Status FinishConnectTcp(int fd, const std::string& host, uint16_t port,
+                        int timeout_ms);
+
 /// Accepts one connection. Waits up to `timeout_ms` (-1 = forever);
 /// returns an invalid OwnedFd on timeout so pollers can check a stop flag.
 Result<OwnedFd> AcceptWithTimeout(int listen_fd, int timeout_ms);

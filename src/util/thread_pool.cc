@@ -60,17 +60,34 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  size_t tasks = std::min(num_threads(), n);
-  for (size_t t = 0; t < tasks; ++t) {
-    Submit([next, n, &body] {
-      for (size_t i = next->fetch_add(1, std::memory_order_relaxed); i < n;
-           i = next->fetch_add(1, std::memory_order_relaxed)) {
-        body(i);
-      }
-    });
-  }
-  Wait();
+  // Completion is per call: the caller claims indices alongside the
+  // helpers, then waits only for this loop's indices still running on a
+  // worker — never for other callers' tasks. A helper that starts after
+  // every index is claimed exits without touching `body`.
+  struct Loop {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    size_t done = 0;  // guarded by mu
+  };
+  auto loop = std::make_shared<Loop>();
+  auto work = [loop, n, &body] {
+    size_t ran = 0;
+    for (size_t i = loop->next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = loop->next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(loop->mu);
+    loop->done += ran;
+    if (loop->done == n) loop->done_cv.notify_all();
+  };
+  const size_t helpers = std::min(num_threads(), n - 1);
+  for (size_t t = 0; t < helpers; ++t) Submit(work);
+  work();
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->done_cv.wait(lock, [&loop, n] { return loop->done == n; });
 }
 
 size_t ThreadPool::DefaultThreads() {
@@ -86,7 +103,7 @@ void ParallelFor(size_t num_threads, size_t n,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(threads);
+  ThreadPool pool(threads - 1);  // the caller is the last thread
   pool.ParallelFor(n, body);
   if (max_queue_depth != nullptr) {
     *max_queue_depth = std::max(*max_queue_depth, pool.max_queue_depth());

@@ -54,7 +54,9 @@ class ThreadPool {
   }
 
   /// Runs body(i) for every i in [0, n), distributing indices dynamically
-  /// across the pool's workers. Returns when all iterations are done.
+  /// across the calling thread and the pool's workers. Returns when this
+  /// call's iterations are done, whatever else the pool is running, so
+  /// concurrent callers never wait on each other's work.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// The number of hardware threads, or 1 when it cannot be determined.

@@ -981,11 +981,13 @@ TEST(RouterHedgeTest, DeadlineExhaustionDegradesInsteadOfHanging) {
 
 /// A relay that answers COUNT with backpressure (Unavailable) while
 /// passing every other verb through to a real BbsService — the downstream
-/// shape of a shard that is alive but refusing work.
+/// shape of a shard that is alive but refusing work. With `shed_limit` >= 0
+/// only the first shed_limit COUNTs are refused.
 class BackpressureRelay {
  public:
-  explicit BackpressureRelay(service::BbsService* service)
-      : service_(service) {}
+  explicit BackpressureRelay(service::BbsService* service,
+                             int shed_limit = -1)
+      : service_(service), shed_limit_(shed_limit) {}
 
   Status Start() {
     auto listener = ListenTcp("127.0.0.1", 0);
@@ -1025,16 +1027,19 @@ class BackpressureRelay {
         if (request.status().code() == StatusCode::kUnavailable) continue;
         return;
       }
+      const bool shed = request->at("verb").AsString() == "COUNT" &&
+                        (shed_limit_ < 0 || shed_.fetch_add(1) < shed_limit_);
       JsonValue response =
-          request->at("verb").AsString() == "COUNT"
-              ? service::ErrorResponse(
-                    "COUNT", Status::Unavailable("shedding load"))
-              : service_->Handle(*request);
+          shed ? service::ErrorResponse("COUNT",
+                                        Status::Unavailable("shedding load"))
+               : service_->Handle(*request);
       if (!service::WriteFrame(fd, response).ok()) return;
     }
   }
 
   service::BbsService* service_;
+  const int shed_limit_;
+  std::atomic<int> shed_{0};
   OwnedFd listener_;
   uint16_t port_ = 0;
   std::thread accept_thread_;
@@ -1073,6 +1078,78 @@ TEST(RouterBackpressureTest, SheddingShardStaysUpThroughDeadline) {
   EXPECT_EQ(response.at("missing_shards").at(0).AsUint(), 0u);
   EXPECT_EQ(router.shards_up(), 2u)
       << "backpressure must not read as downtime";
+  relay.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out: the request's thread drives every leg through one poll loop.
+
+TEST(RouterFanOutTest, SlowLegsOverlap) {
+  // Both shards answer only after kDelayMs. Legs that ran one after the
+  // other would take 2·kDelayMs; overlapped legs take about kDelayMs.
+  constexpr int kDelayMs = 400;
+  TransactionDatabase full = bbsmine::testing::RandomDb(63, 80, 16, 5.0);
+  Fleet fleet(full, 2);
+  SlowRelay relay0(fleet.shard(0).service.get(), kDelayMs);
+  SlowRelay relay1(fleet.shard(1).service.get(), kDelayMs);
+  Status started = relay0.Start();
+  if (started.ok()) started = relay1.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: "
+                 << started.ToString();
+  }
+  ShardMap map = fleet.map();
+  map.shards[0].primary.port = relay0.port();
+  map.shards[1].primary.port = relay1.port();
+  RouterService router(map, Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+
+  const auto begin = std::chrono::steady_clock::now();
+  JsonValue response = router.Handle(CountRequest({1}));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count();
+  ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
+  EXPECT_FALSE(response.at("degraded").AsBool());
+  EXPECT_EQ(response.at("cluster").at("shards_queried").AsUint(), 2u);
+  EXPECT_EQ(response.at("count").AsUint(),
+            fleet.oracle().Handle(CountRequest({1})).at("count").AsUint());
+  EXPECT_LT(elapsed, kDelayMs * 3 / 2) << "the two legs did not overlap";
+  relay0.Stop();
+  relay1.Stop();
+}
+
+TEST(RouterFanOutTest, BackoffOnOneLegDoesNotResendTheOther) {
+  // Shard 0 sheds its first COUNT, then answers; shard 1 answers at once.
+  // The backoff and re-send are shard 0's alone: the sum is whole and
+  // shard 1 sees the COUNT exactly once.
+  TransactionDatabase full = bbsmine::testing::RandomDb(65, 80, 16, 5.0);
+  Fleet fleet(full, 2);
+  BackpressureRelay relay(fleet.shard(0).service.get(), /*shed_limit=*/1);
+  Status started = relay.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: "
+                 << started.ToString();
+  }
+  ShardMap map = fleet.map();
+  map.shards[0].primary.port = relay.port();
+  RouterOptions options = Fleet::FastOptions();
+  options.prune = false;
+  options.retry.retries = 3;
+  options.retry.backoff_ms = 20;
+  options.retry.max_backoff_ms = 40;
+  RouterService router(map, options);
+  ASSERT_TRUE(router.Init().ok());
+
+  service::ServiceMetrics& healthy = fleet.shard(1).service->metrics();
+  const uint64_t healthy_before = healthy.counter(healthy.requests_count);
+  JsonValue response = router.Handle(CountRequest({1}));
+  ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
+  EXPECT_FALSE(response.at("degraded").AsBool());
+  EXPECT_EQ(response.at("count").AsUint(),
+            fleet.oracle().Handle(CountRequest({1})).at("count").AsUint());
+  EXPECT_EQ(healthy.counter(healthy.requests_count) - healthy_before, 1u);
+  EXPECT_EQ(router.shards_up(), 2u);
   relay.Stop();
 }
 

@@ -15,6 +15,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <fstream>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -322,6 +325,145 @@ TEST(CountSchedulerTest, RejectsEmptyAndAfterShutdown) {
   scheduler.Shutdown();
   EXPECT_EQ(scheduler.Count({1}, &result).code(),
             StatusCode::kUnavailable);
+}
+
+/// Threads in this process, from /proc/self/status (0 when unreadable).
+size_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(CountSchedulerTest, SingleThreadedSchedulerOwnsNoThread) {
+  Fixture fx = MakeFixture(20, 100, 32);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  const size_t before = ProcessThreads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status here";
+  SchedulerOptions options;
+  options.num_threads = 1;
+  CountScheduler scheduler(&*manager, options, nullptr);
+  EXPECT_EQ(ProcessThreads(), before);
+  // The caller runs its own batch.
+  CountResult result;
+  ASSERT_TRUE(scheduler.Count({1, 2}, &result).ok());
+  EXPECT_EQ(result.count, fx.index.CountItemSet({1, 2}));
+  EXPECT_EQ(result.batch_size, 1u);
+  EXPECT_EQ(ProcessThreads(), before);
+}
+
+// Many callers COUNT while a writer inserts, then Shutdown lands with the
+// callers still in flight. Checks the leader/follower batching invariants
+// at num_threads 1 (leader alone) and 3 (leader plus two helpers).
+TEST(CountSchedulerTest, BatchesKeepTheirInvariantsUnderInsertsAndShutdown) {
+  constexpr uint64_t kCapacity = 32;
+  constexpr size_t kInitial = 50;
+  constexpr size_t kBatches = 25;
+  constexpr size_t kPerBatch = 4;
+  constexpr size_t kCallers = 6;
+  const TransactionDatabase db = bbsmine::testing::RandomDb(
+      24, kInitial + kBatches * kPerBatch, 24, 5.0);
+  std::vector<Itemset> queries = QueryMix();
+  queries.resize(18);
+
+  // The oracle: a direct SegmentedBbs count of every query at every prefix
+  // the writer publishes.
+  std::map<uint64_t, std::vector<size_t>> oracle;
+  {
+    auto index = SegmentedBbs::Create(SmallConfig(), kCapacity);
+    ASSERT_TRUE(index.ok());
+    for (size_t t = 0; t < db.size(); ++t) {
+      ASSERT_TRUE(index->Insert(db.At(t).items).ok());
+      const size_t n = t + 1;
+      if (n >= kInitial && (n - kInitial) % kPerBatch == 0) {
+        for (const Itemset& q : queries) {
+          oracle[n].push_back(index->CountItemSet(q));
+        }
+      }
+    }
+  }
+
+  for (size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    auto manager = SnapshotManager::Create(SmallConfig(), kCapacity);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->InsertAll(db, 0, kInitial).ok());
+    SchedulerOptions options;
+    options.num_threads = threads;
+    options.max_batch = 8;
+    CountScheduler scheduler(&*manager, options, nullptr);
+
+    struct Answer {
+      size_t query;
+      CountResult result;
+    };
+    std::mutex answers_mu;
+    std::vector<Answer> answers;
+    std::atomic<size_t> answered{0};
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        std::vector<Answer> mine;
+        for (size_t k = c;; ++k) {
+          const size_t q = k % queries.size();
+          CountResult result;
+          if (!scheduler.Count(queries[q], &result).ok()) break;  // draining
+          mine.push_back({q, result});
+          answered.fetch_add(1);
+        }
+        std::lock_guard<std::mutex> lock(answers_mu);
+        answers.insert(answers.end(), mine.begin(), mine.end());
+      });
+    }
+    while (answered.load() < kCallers) std::this_thread::yield();
+    for (size_t b = 0; b < kBatches; ++b) {
+      std::vector<Itemset> batch;
+      for (size_t t = 0; t < kPerBatch; ++t) {
+        batch.push_back(db.At(kInitial + b * kPerBatch + t).items);
+      }
+      ASSERT_TRUE(manager->InsertBatch(batch).ok());
+    }
+    const size_t before_shutdown = answered.load();
+    while (answered.load() < before_shutdown + 4 * kCallers) {
+      std::this_thread::yield();
+    }
+    scheduler.Shutdown();  // callers are mid-COUNT
+    EXPECT_EQ(scheduler.pending(), 0u);
+    for (std::thread& t : callers) t.join();  // none hangs
+
+    // Every answer matches the oracle at its own prefix.
+    std::map<uint64_t, std::vector<const CountResult*>> by_batch;
+    for (const Answer& a : answers) {
+      auto it = oracle.find(a.result.visible_transactions);
+      ASSERT_NE(it, oracle.end()) << a.result.visible_transactions;
+      EXPECT_EQ(a.result.count, it->second[a.query])
+          << ItemsetToString(queries[a.query]) << " at "
+          << a.result.visible_transactions;
+      by_batch[a.result.batch_id].push_back(&a.result);
+    }
+    // A batch is one snapshot: its requests agree on epoch, prefix and
+    // size, and exactly batch_size answers carry its id (none lost, none
+    // answered twice).
+    bool fused = false;
+    for (const auto& [id, members] : by_batch) {
+      EXPECT_GE(id, 1u);
+      const CountResult& first = *members.front();
+      EXPECT_EQ(members.size(), first.batch_size) << "batch " << id;
+      for (const CountResult* r : members) {
+        EXPECT_EQ(r->epoch, first.epoch) << "batch " << id;
+        EXPECT_EQ(r->visible_transactions, first.visible_transactions);
+        EXPECT_EQ(r->batch_size, first.batch_size) << "batch " << id;
+      }
+      if (first.batch_size > 1) fused = true;
+    }
+    EXPECT_TRUE(fused) << "six callers never shared a batch";
+    // After Shutdown nothing is admitted.
+    CountResult late;
+    EXPECT_EQ(scheduler.Count({1}, &late).code(), StatusCode::kUnavailable);
+  }
 }
 
 // ---------------------------------------------------------------------------

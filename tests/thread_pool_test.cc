@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <thread>
 #include <vector>
 
 namespace bbsmine {
@@ -59,6 +62,38 @@ TEST(ThreadPoolTest, MemberParallelForEmptyRange) {
   std::atomic<int> counter{0};
   pool.ParallelFor(0, [&counter](size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 0);
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForsCompleteIndependently) {
+  // A's body blocks until B releases it. A's loop occupies the only
+  // worker, so B's short loop can finish only if it runs on B's own
+  // thread and waits for nothing but its own indices.
+  ThreadPool pool(1);
+  std::promise<void> release_a;
+  std::shared_future<void> released = release_a.get_future().share();
+  std::atomic<int> a_done{0};
+  std::thread a([&] {
+    pool.ParallelFor(2, [&](size_t) {
+      released.wait();
+      ++a_done;
+    });
+  });
+  std::promise<void> b_returned;
+  std::future<void> b_finished = b_returned.get_future();
+  std::atomic<int> b_hits{0};
+  std::thread b([&] {
+    pool.ParallelFor(4, [&](size_t) { ++b_hits; });
+    b_returned.set_value();
+  });
+  const bool b_first = b_finished.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  EXPECT_TRUE(b_first) << "B's ParallelFor waited on A's blocked work";
+  EXPECT_EQ(a_done.load(), 0);
+  release_a.set_value();  // B releases A (also unwedges a failing run)
+  a.join();
+  b.join();
+  EXPECT_EQ(b_hits.load(), 4);
+  EXPECT_EQ(a_done.load(), 2);
 }
 
 TEST(FreeParallelForTest, InlineWhenSingleThreaded) {

@@ -170,7 +170,8 @@ void Usage() {
       "  --compact-fold-bits M  fold target width for cold segments\n"
       "  --host A.B.C.D      bind address (default 127.0.0.1)\n"
       "  --port N            TCP port; 0 = ephemeral (default 7071)\n"
-      "  --threads N         per-batch worker threads (0 = hw threads)\n"
+      "  --threads N         threads per COUNT batch, the caller's included\n"
+      "                      (0 = hw threads; 1 = no worker threads)\n"
       "  --max-pending N     admission-queue bound (default 1024)\n"
       "  --max-batch N       requests fused per batch (default 256)\n"
       "  --minsup F          default MINE minimum support (default 0.003)\n"
