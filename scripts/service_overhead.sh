@@ -29,12 +29,16 @@ BBSMINE="$BUILD_DIR/tools/bbsmine"
 BBSMINED="$BUILD_DIR/tools/bbsmined"
 BBSBENCH="$BUILD_DIR/tools/bbsbench"
 WORK="$(mktemp -d)"
-PIDS=()
+# start_daemon runs inside $(...), a subshell, so it records each daemon's
+# pid in this file rather than in a shell variable the EXIT trap could read.
+PID_FILE="$WORK/daemons.pid"
 
 cleanup() {
-  for pid in "${PIDS[@]:-}"; do
-    [[ -n "$pid" ]] && kill -KILL "$pid" 2>/dev/null || true
-  done
+  if [[ -f "$PID_FILE" ]]; then
+    while read -r pid; do
+      kill -KILL "$pid" 2>/dev/null || true
+    done < "$PID_FILE"
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -50,7 +54,7 @@ start_daemon() {  # $1 = log file, $2... = extra flags
   "$BBSMINED" --index "$WORK/bench.seg" --db "$WORK/bench.db" --port 0 \
     "$@" > "$log" 2>&1 &
   local pid=$!
-  PIDS+=("$pid")
+  echo "$pid" >> "$PID_FILE"
   local port=""
   for _ in $(seq 1 50); do
     port=$(sed -n 's/^bbsmined listening on [0-9.]*:\([0-9]*\).*/\1/p' \

@@ -1,6 +1,7 @@
 #include "core/bbs_index.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -18,10 +19,6 @@ namespace bbsmine {
 using Word = BitVector::Word;
 
 namespace {
-
-// v1: packed layout, one CRC over the whole payload. Read-only legacy path.
-constexpr char kMagicV1[8] = {'B', 'B', 'S', 'I', 'D', 'X', '0', '1'};
-constexpr uint32_t kFormatVersionV1 = 1;
 
 // v2: aligned layout (docs/FORMATS.md). Checksummed metadata block, then
 // each slice's word array at a 64-byte-aligned file offset so the file can
@@ -306,23 +303,40 @@ BitVector BbsIndex::MakeSignature(const Itemset& items) const {
   return signature;
 }
 
-void BbsIndex::CollectPositions(const Itemset& items,
-                                std::vector<uint32_t>* positions) const {
-  positions->clear();
+HashedItemset BbsIndex::Hash(const Itemset& items) const {
+  HashedItemset query(items.size() * family_.num_hashes());
+  uint32_t* out = query.raw_.data();
   for (ItemId item : items) {
-    for (uint32_t raw : family_.Positions(item)) {
-      positions->push_back(folded_bits_ != 0 ? raw % folded_bits_ : raw);
-    }
+    const std::vector<uint32_t>& raw = family_.Positions(item);
+    assert(raw.size() == family_.num_hashes());
+    out = std::copy(raw.begin(), raw.end(), out);
   }
-  std::sort(positions->begin(), positions->end());
-  positions->erase(std::unique(positions->begin(), positions->end()),
-                   positions->end());
+  uint32_t* first = query.raw_.data();
+  std::sort(first, out);
+  query.raw_.Truncate(static_cast<size_t>(std::unique(first, out) - first));
+  return query;
+}
+
+PositionList BbsIndex::PlanPositions(const HashedItemset& query) const {
+  PositionList positions(query.size());
+  uint32_t* first = positions.data();
+  if (folded_bits_ == 0) {
+    std::copy(query.begin(), query.end(), first);
+  } else {
+    // Folding maps distinct raw positions onto shared slices: dedupe again.
+    uint32_t* last = std::transform(
+        query.begin(), query.end(), first,
+        [this](uint32_t raw) { return raw % folded_bits_; });
+    std::sort(first, last);
+    positions.Truncate(static_cast<size_t>(std::unique(first, last) - first));
+  }
   // Sparsest slice first: ANDing the most selective slice early shrinks the
   // intermediate result fastest.
-  std::sort(positions->begin(), positions->end(),
+  std::sort(first, first + positions.size(),
             [this](uint32_t a, uint32_t b) {
               return slice_popcount_[a] < slice_popcount_[b];
             });
+  return positions;
 }
 
 // Words per block of the multi-way AND below: 1 KiB-word blocks keep a
@@ -330,74 +344,81 @@ void BbsIndex::CollectPositions(const Itemset& items,
 // fine enough grain to pay off.
 static constexpr size_t kCountBlockWords = 1024;
 
-size_t BbsIndex::CountWithSeed(const std::vector<uint32_t>& positions,
+size_t BbsIndex::CountWithSeed(const PositionList& positions,
                                const BitVector* seed, BitVector* result,
                                IoStats* io, uint64_t min_count) const {
-  BitVector local;
-  BitVector& out = result != nullptr ? *result : local;
-
   if (positions.empty()) {
     // Empty itemset: every transaction matches (optionally constrained).
-    if (seed != nullptr) {
-      out = *seed;
-    } else {
-      out = BitVector(num_transactions_);
-      out.SetAll();
+    if (result == nullptr) {
+      return seed != nullptr ? seed->Count() : num_transactions_;
     }
-    return out.Count();
+    if (seed != nullptr) {
+      *result = *seed;
+    } else {
+      *result = BitVector(num_transactions_);
+      result->SetAll();
+    }
+    return result->Count();
   }
 
   // One blocked pass over all selected slices at once instead of k full
   // sweeps: per block, the running AND is reduced while the streams are
   // still cache-hot. After each block the loop aborts as soon as even an
   // all-ones remainder could not lift the count back to min_count — the
-  // dense early-abort the filter phase relies on. On abort `out` is only
+  // dense early-abort the filter phase relies on. On abort `result` is only
   // partially written, which the CountItemSetAtLeast contract allows. The
   // blocks cover the stable words; a published tail's frozen boundary word
   // (SliceSource::Boundary) is ANDed last, on its own.
+  // Trivial, so SmallArray value-initializes only the k operands in use.
+  struct Operand {
+    const Word* words;
+    size_t touched;  // words streamed
+  };
   const size_t k = positions.size();
+  SmallArray<Operand, kInlinePositions> ops(k);
+  for (size_t i = 0; i < k; ++i) ops[i].words = source_->Words(positions[i]);
   const Word* seed_words = seed != nullptr ? seed->words().data() : nullptr;
-  // Stack-friendly operand table; queries rarely select more than a few
-  // dozen slices, but signatures of long itemsets can.
-  std::vector<const Word*> srcs(k);
-  for (size_t i = 0; i < k; ++i) {
-    srcs[i] = source_->Words(positions[i]);
-  }
 
-  out.Resize(num_transactions_);
-  Word* dst = out.MutableWords();
-  const size_t n_words = out.num_words();
+  Word* out_words = nullptr;
+  if (result != nullptr) {
+    result->Resize(num_transactions_);
+    out_words = result->MutableWords();
+  }
+  // Without a result vector each block is ANDed here. Left uninitialized:
+  // every block's first kernel call writes it before anything reads it, and
+  // zeroing 8 KiB per call would cost more than a small segment's AND.
+  std::array<Word, kCountBlockWords> block_buffer;
   const size_t stable = source_->stable_words();
-  std::vector<size_t> touched(k, 0);  // words streamed per slice
 
   size_t count = 0;
   bool aborted = false;
   for (size_t base = 0; base < stable; base += kCountBlockWords) {
     const size_t len = std::min(kCountBlockWords, stable - base);
+    Word* dst = out_words != nullptr ? out_words + base : block_buffer.data();
     uint64_t block;
     size_t op;
     if (seed_words != nullptr) {
-      block = kernels::AssignAndCount(dst + base, seed_words + base,
-                                      srcs[0] + base, len);
-      touched[0] += len;
+      block = kernels::AssignAndCount(dst, seed_words + base,
+                                      ops[0].words + base, len);
+      ops[0].touched += len;
       op = 1;
     } else if (k >= 2) {
-      block = kernels::AssignAndCount(dst + base, srcs[0] + base,
-                                      srcs[1] + base, len);
-      touched[0] += len;
-      touched[1] += len;
+      block = kernels::AssignAndCount(dst, ops[0].words + base,
+                                      ops[1].words + base, len);
+      ops[0].touched += len;
+      ops[1].touched += len;
       op = 2;
     } else {
-      block = kernels::AssignAndCount(dst + base, srcs[0] + base,
-                                      srcs[0] + base, len);
-      touched[0] += len;
+      block = kernels::AssignAndCount(dst, ops[0].words + base,
+                                      ops[0].words + base, len);
+      ops[0].touched += len;
       op = 1;
     }
     // A block whose running AND goes all-zero skips its remaining slices:
     // further ANDs cannot resurrect bits and dst is already correct there.
     for (; op < k && block != 0; ++op) {
-      block = kernels::AndCount(dst + base, srcs[op] + base, len);
-      touched[op] += len;
+      block = kernels::AndCount(dst, ops[op].words + base, len);
+      ops[op].touched += len;
     }
     count += static_cast<size_t>(block);
 
@@ -409,13 +430,13 @@ size_t BbsIndex::CountWithSeed(const std::vector<uint32_t>& positions,
       break;
     }
   }
-  if (!aborted && stable < n_words) {
+  if (!aborted && stable < WordsPerSlice()) {
     Word last = seed_words != nullptr ? seed_words[stable] : ~Word{0};
     for (size_t i = 0; i < k && last != 0; ++i) {
       last &= source_->Boundary(positions[i]);
-      ++touched[i];
+      ++ops[i].touched;
     }
-    dst[stable] = last;
+    if (out_words != nullptr) out_words[stable] = last;
     count += static_cast<size_t>(std::popcount(last));
   }
 
@@ -426,31 +447,33 @@ size_t BbsIndex::CountWithSeed(const std::vector<uint32_t>& positions,
     // charge — getrusage sees the true cost — but the words-streamed
     // instrumentation stays backend-agnostic.
     const bool bill = source_->charges_synthetic_io();
-    for (size_t i = 0; i < k; ++i) {
+    for (const Operand& operand : ops) {
       if (bill) {
         uint64_t bytes = std::min<uint64_t>(
-            static_cast<uint64_t>(touched[i]) * sizeof(Word), SliceBytes());
+            static_cast<uint64_t>(operand.touched) * sizeof(Word),
+            SliceBytes());
         io->sequential_reads += BlocksFor(bytes, 4096);
       }
-      io->slice_words_touched += touched[i];
+      io->slice_words_touched += operand.touched;
     }
   }
   return count;
 }
 
+size_t BbsIndex::CountHashed(const HashedItemset& query, IoStats* io) const {
+  return CountWithSeed(PlanPositions(query), /*seed=*/nullptr,
+                       /*result=*/nullptr, io);
+}
+
 size_t BbsIndex::CountItemSet(const Itemset& items, BitVector* result,
                               IoStats* io) const {
-  // Per-call scratch keeps the const query path thread-safe (a shared
-  // mutable buffer here would race concurrent queries).
-  std::vector<uint32_t> positions;
-  CollectPositions(items, &positions);
-  return CountWithSeed(positions, /*seed=*/nullptr, result, io);
+  return CountWithSeed(PlanPositions(Hash(items)), /*seed=*/nullptr, result,
+                       io);
 }
 
 size_t BbsIndex::CountItemSetAtLeast(const Itemset& items, uint64_t tau,
                                      BitVector* result, IoStats* io) const {
-  std::vector<uint32_t> positions;
-  CollectPositions(items, &positions);
+  const PositionList positions = PlanPositions(Hash(items));
   if (!positions.empty()) {
     // The sparsest selected slice (positions are popcount-ordered) bounds
     // the estimate from above: below tau means no AND is needed at all.
@@ -471,9 +494,7 @@ size_t BbsIndex::CountItemSetConstrained(const Itemset& items,
                                          BitVector* result,
                                          IoStats* io) const {
   assert(constraint.size() == num_transactions_);
-  std::vector<uint32_t> positions;
-  CollectPositions(items, &positions);
-  return CountWithSeed(positions, &constraint, result, io);
+  return CountWithSeed(PlanPositions(Hash(items)), &constraint, result, io);
 }
 
 size_t BbsIndex::AndItemSlices(ItemId item, BitVector* result,
@@ -662,141 +683,58 @@ Result<BbsIndex> BbsIndex::Load(const std::string& path) {
 
 Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
                                        const std::string& path) {
-  if (file.size() < sizeof(kMagicV2)) {
+  if (file.size() < sizeof(kMagicV2) ||
+      std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::Corruption("bad magic in " + path);
   }
-
-  if (std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    // --- v2 aligned layout, resident load --------------------------------
-    V2Header header;
-    BBSMINE_RETURN_IF_ERROR(ParseV2Header(file, path, &header));
-    // Resident loads read every slice anyway, so the full data checksum is
-    // verified here. The mmap path skips this (it would fault every page)
-    // and relies on the header CRC + structural bounds instead.
-    if (Crc32(std::string_view(file.data() + header.data_offset,
-                               file.size() - header.data_offset)) !=
-        header.data_crc) {
-      return Status::Corruption("slice data checksum mismatch in " + path);
-    }
-    std::vector<uint64_t> item_counts;
-    std::vector<size_t> popcounts;
-    std::vector<uint32_t> signature_bits;
-    BBSMINE_RETURN_IF_ERROR(ReadV2Arrays(file, path, header, &item_counts,
-                                         &popcounts, &signature_bits));
-
-    Result<BloomHashFamily> family = BloomHashFamily::Create(
-        header.config.num_bits, header.config.num_hashes,
-        header.config.hash_kind, header.config.seed);
-    if (!family.ok()) return family.status();
-
-    BbsIndex index(header.config, std::move(family).value(), header.folded);
-    index.num_transactions_ = header.num_transactions;
-    index.item_counts_ = std::move(item_counts);
-
-    ResidentSliceSource* res = index.source_->AsResident();
-    const size_t wps = header.words_per_slice;
-    std::vector<Word> slice_words(wps);
-    for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
-      // memcpy: the slice bytes are 64-byte aligned in the *file*, but the
-      // in-memory string buffer carries no such guarantee.
-      std::memcpy(slice_words.data(),
-                  file.data() + header.data_offset +
-                      static_cast<uint64_t>(pos) * header.stride_bytes,
-                  wps * sizeof(Word));
-      BitVector& slice = res->slice(pos);
-      slice.AssignWords(slice_words.data(), wps, header.num_transactions);
-      // The stored popcounts are what query planning trusts — cross-check
-      // them against the actual slice data (load parity fix-up).
-      if (slice.Count() != popcounts[pos]) {
-        return Status::Corruption("slice popcount mismatch in " + path);
-      }
-      index.slice_popcount_[pos] = popcounts[pos];
-    }
-    if (index.ComputeSignatureBits() != signature_bits) {
-      return Status::Corruption("signature bits mismatch in " + path);
-    }
-    index.signature_bits_ = ToChunked(signature_bits);
-    return index;
+  V2Header header;
+  BBSMINE_RETURN_IF_ERROR(ParseV2Header(file, path, &header));
+  // Resident loads read every slice anyway, so the full data checksum is
+  // verified here. The mmap path skips this (it would fault every page) and
+  // relies on the header CRC + structural bounds instead.
+  if (Crc32(std::string_view(file.data() + header.data_offset,
+                             file.size() - header.data_offset)) !=
+      header.data_crc) {
+    return Status::Corruption("slice data checksum mismatch in " + path);
   }
-
-  if (std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) != 0) {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  // --- legacy v1 packed layout (read-only back-compat) -------------------
-  if (file.size() < sizeof(kMagicV1) + 8) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  size_t pos = sizeof(kMagicV1);
-  uint32_t version = 0;
-  uint32_t expected_crc = 0;
-  if (!ReadU32(file, &pos, &version) || !ReadU32(file, &pos, &expected_crc)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  if (version != kFormatVersionV1) {
-    return Status::Corruption("unsupported format version " +
-                              std::to_string(version));
-  }
-  if (Crc32(std::string_view(file.data() + pos, file.size() - pos)) !=
-      expected_crc) {
-    return Status::Corruption("checksum mismatch in " + path);
-  }
-
-  BbsConfig config;
-  uint32_t hash_kind = 0;
-  uint32_t track = 0;
-  uint32_t folded = 0;
-  uint64_t num_transactions = 0;
-  uint64_t num_item_counts = 0;
-  if (!ReadU32(file, &pos, &config.num_bits) ||
-      !ReadU32(file, &pos, &config.num_hashes) ||
-      !ReadU32(file, &pos, &hash_kind) || !ReadU64(file, &pos, &config.seed) ||
-      !ReadU32(file, &pos, &track) || !ReadU32(file, &pos, &folded) ||
-      !ReadU64(file, &pos, &num_transactions) ||
-      !ReadU64(file, &pos, &num_item_counts)) {
-    return Status::Corruption("truncated payload in " + path);
-  }
-  if (hash_kind > static_cast<uint32_t>(HashKind::kModulo)) {
-    return Status::Corruption("unknown hash kind");
-  }
-  config.hash_kind = static_cast<HashKind>(hash_kind);
-  config.track_item_counts = track != 0;
+  std::vector<uint64_t> item_counts;
+  std::vector<size_t> popcounts;
+  std::vector<uint32_t> signature_bits;
+  BBSMINE_RETURN_IF_ERROR(ReadV2Arrays(file, path, header, &item_counts,
+                                       &popcounts, &signature_bits));
 
   Result<BloomHashFamily> family = BloomHashFamily::Create(
-      config.num_bits, config.num_hashes, config.hash_kind, config.seed);
+      header.config.num_bits, header.config.num_hashes,
+      header.config.hash_kind, header.config.seed);
   if (!family.ok()) return family.status();
-  if (folded > config.num_bits) {
-    return Status::Corruption("fold target exceeds num_bits");
-  }
 
-  BbsIndex index(config, std::move(family).value(), folded);
-  index.num_transactions_ = num_transactions;
-  index.item_counts_.resize(num_item_counts);
-  for (uint64_t& count : index.item_counts_) {
-    if (!ReadU64(file, &pos, &count)) {
-      return Status::Corruption("truncated item counts in " + path);
-    }
-  }
-  size_t words_per_slice =
-      (num_transactions + BitVector::kWordBits - 1) / BitVector::kWordBits;
-  std::vector<BitVector::Word> slice_words(words_per_slice);
+  BbsIndex index(header.config, std::move(family).value(), header.folded);
+  index.num_transactions_ = header.num_transactions;
+  index.item_counts_ = std::move(item_counts);
+
   ResidentSliceSource* res = index.source_->AsResident();
-  for (uint32_t slice_idx = 0; slice_idx < index.num_bits(); ++slice_idx) {
-    for (size_t w = 0; w < words_per_slice; ++w) {
-      if (!ReadU64(file, &pos, &slice_words[w])) {
-        return Status::Corruption("truncated slice data in " + path);
-      }
+  const size_t wps = header.words_per_slice;
+  std::vector<Word> slice_words(wps);
+  for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
+    // memcpy: the slice bytes are 64-byte aligned in the *file*, but the
+    // in-memory string buffer carries no such guarantee.
+    std::memcpy(slice_words.data(),
+                file.data() + header.data_offset +
+                    static_cast<uint64_t>(pos) * header.stride_bytes,
+                wps * sizeof(Word));
+    BitVector& slice = res->slice(pos);
+    slice.AssignWords(slice_words.data(), wps, header.num_transactions);
+    // The stored popcounts are what query planning trusts — cross-check
+    // them against the actual slice data (load parity fix-up).
+    if (slice.Count() != popcounts[pos]) {
+      return Status::Corruption("slice popcount mismatch in " + path);
     }
-    // Bulk word-level assign: O(words) per slice instead of O(bits).
-    BitVector& slice = res->slice(slice_idx);
-    slice.AssignWords(slice_words.data(), slice_words.size(),
-                      num_transactions);
-    index.slice_popcount_[slice_idx] = slice.Count();
+    index.slice_popcount_[pos] = popcounts[pos];
   }
-  if (pos != file.size()) {
-    return Status::Corruption("trailing bytes in " + path);
+  if (index.ComputeSignatureBits() != signature_bits) {
+    return Status::Corruption("signature bits mismatch in " + path);
   }
-  index.RecomputeSignatureBits();
+  index.signature_bits_ = ToChunked(signature_bits);
   return index;
 }
 
@@ -808,13 +746,6 @@ Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
 
   if (file.size() < sizeof(kMagicV2) ||
       std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
-    if (file.size() >= sizeof(kMagicV1) &&
-        std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-      return Status::InvalidArgument(
-          path + " uses the v1 packed layout, which cannot be served in "
-                 "place; rebuild the index (v2 aligns slices for mmap) or "
-                 "use --index-backend=resident");
-    }
     return Status::Corruption("bad magic in " + path);
   }
 

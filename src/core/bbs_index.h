@@ -13,6 +13,14 @@
 // (bit per slice) without rebuilding anything, and Save/Load round-trips the
 // index through a checksummed file.
 //
+// Counting hashes an itemset once (Hash: the deduplicated raw Bloom
+// positions of its items) and then, per index, maps those positions through
+// the index's fold and orders them sparsest slice first (CountHashed). A
+// query over many indexes built from one BbsConfig — the segments of a
+// SegmentedBbs or of a served snapshot — pays for the hash once, and its
+// per-index scratch lives on the stack (util/small_array.h) unless the
+// itemset's signature is longer than kInlinePositions.
+//
 // Slice words live behind a SliceSource (core/slice_source.h): the resident
 // backend (heap BitVectors, mutable), the append-stable tail backend
 // (ToTail: one block sized for a whole segment, mutable, published in
@@ -45,9 +53,34 @@
 #include "util/bitvector.h"
 #include "util/chunked_array.h"
 #include "util/iomodel.h"
+#include "util/small_array.h"
 #include "util/status.h"
 
 namespace bbsmine {
+
+/// Positions the count path keeps on the stack per query; a longer itemset
+/// signature (more distinct positions) spills its tables to the heap.
+inline constexpr size_t kInlinePositions = 64;
+
+/// A list of slice positions, inline up to kInlinePositions.
+using PositionList = SmallArray<uint32_t, kInlinePositions>;
+
+/// An itemset hashed once for counting (BbsIndex::Hash): the deduplicated
+/// raw Bloom positions of all its items, ascending, in [0, config.num_bits).
+/// Any index built from the same BbsConfig — folded or not, on any backend —
+/// counts it without hashing again (BbsIndex::CountHashed).
+class HashedItemset {
+ public:
+  size_t size() const { return raw_.size(); }
+  const uint32_t* begin() const { return raw_.begin(); }
+  const uint32_t* end() const { return raw_.end(); }
+
+ private:
+  friend class BbsIndex;
+  explicit HashedItemset(size_t capacity) : raw_(capacity) {}
+
+  PositionList raw_;
+};
 
 /// The bit-sliced Bloom-filtered signature file.
 class BbsIndex {
@@ -111,6 +144,17 @@ class BbsIndex {
 
   /// Cached popcount of slice `pos`.
   size_t SlicePopcount(uint32_t pos) const { return slice_popcount_[pos]; }
+
+  /// Hashes `items` once for CountHashed on this index or on any other
+  /// index built from the same config.
+  HashedItemset Hash(const Itemset& items) const;
+
+  /// CountItemSet of an itemset hashed by Hash (on this index or any index
+  /// with the same config), without a result vector: the same estimate and
+  /// the same `io` charges as CountItemSet(items, nullptr, io), with no
+  /// re-hashing and no heap allocation unless the signature is longer than
+  /// kInlinePositions.
+  size_t CountHashed(const HashedItemset& query, IoStats* io = nullptr) const;
 
   /// Algorithm CountItemSet (paper Figure 1): estimated number of
   /// transactions containing `items`. Never less than the true support.
@@ -208,9 +252,10 @@ class BbsIndex {
   /// checkpoints) can checksum and write segment images themselves.
   std::string Serialize() const;
 
-  /// Parses bytes produced by Serialize — the v2 aligned layout or the
-  /// legacy v1 packed layout — into a resident index. `context` names the
-  /// source (file path) in error messages.
+  /// Parses bytes produced by Serialize (the v2 aligned layout) into a
+  /// resident index. Any other magic, including the retired v1 packed
+  /// layout's "BBSIDX01", is Corruption. `context` names the source (file
+  /// path) in error messages.
   static Result<BbsIndex> Deserialize(std::string_view file,
                                       const std::string& context);
 
@@ -224,8 +269,7 @@ class BbsIndex {
   /// validated and faulted in (magic, version, header checksum, structural
   /// bounds — including that the file covers every slice, so a truncated
   /// map fails cleanly instead of SIGBUSing); slice pages fault in on
-  /// demand. v1 files are rejected: the packed layout cannot be served
-  /// in place (rebuild or load resident).
+  /// demand.
   static Result<BbsIndex> OpenMmap(const std::string& path);
 
   /// Structural equality (config, transactions, slice contents); backend
@@ -254,17 +298,18 @@ class BbsIndex {
   /// Rebuilds signature_bits_ by summing slice columns (after Fold/Load).
   void RecomputeSignatureBits();
 
-  /// Collects the distinct effective slice positions of `items`, sorted by
-  /// ascending slice popcount (sparsest-first AND order).
-  void CollectPositions(const Itemset& items,
-                        std::vector<uint32_t>* positions) const;
+  /// `query`'s distinct effective slice positions in this index (mapped
+  /// through the fold), sorted by ascending slice popcount (sparsest-first
+  /// AND order).
+  PositionList PlanPositions(const HashedItemset& query) const;
 
   /// Shared implementation of the CountItemSet overloads. The AND loop
   /// aborts once the running count drops below `min_count` (the running
   /// count only shrinks, so the final estimate is provably below it too).
-  size_t CountWithSeed(const std::vector<uint32_t>& positions,
-                       const BitVector* seed, BitVector* result,
-                       IoStats* io, uint64_t min_count = 1) const;
+  /// With a null `result` the AND runs in a block-sized stack buffer.
+  size_t CountWithSeed(const PositionList& positions, const BitVector* seed,
+                       BitVector* result, IoStats* io,
+                       uint64_t min_count = 1) const;
 
   BbsConfig config_;
   BloomHashFamily family_;

@@ -3,7 +3,6 @@
 #include "storage/transaction_db.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
-#include "util/thread_pool.h"
 
 namespace bbsmine {
 
@@ -126,35 +125,16 @@ Status SegmentedBbs::InsertAll(const TransactionDatabase& db, size_t first,
 }
 
 size_t SegmentedBbs::CountItemSet(const Itemset& items, IoStats* io,
-                                  size_t num_threads,
-                                  obs::Tracer* tracer) const {
-  obs::TraceSpan span(tracer, obs::kTraceKernel, "segbbs.count");
-  span.AddArg("items", items.size());
-  span.AddArg("segments", segments_.size());
-  // Each worker charges a private per-segment IoStats; the merge below runs
-  // in segment order, so both the count and the I/O totals are identical to
-  // the serial pass regardless of the thread schedule.
-  std::vector<size_t> counts(segments_.size(), 0);
-  std::vector<IoStats> segment_io(io != nullptr ? segments_.size() : 0);
-  ParallelFor(num_threads, segments_.size(), [&](size_t idx) {
-    obs::TraceSpan segment_span(tracer, obs::kTraceKernel, "segbbs.segment");
-    segment_span.AddArg("segment", idx);
-    counts[idx] = segments_[idx].CountItemSet(
-        items, nullptr, io != nullptr ? &segment_io[idx] : nullptr);
-  });
-  size_t total = 0;
-  for (size_t count : counts) total += count;
-  if (io != nullptr) {
-    for (const IoStats& per_segment : segment_io) *io += per_segment;
-  }
-  return total;
+                                  size_t num_threads) const {
+  return CountSegments(*this, items, io, num_threads);
 }
 
 std::vector<size_t> SegmentedBbs::CountPerSegment(const Itemset& items,
                                                   size_t num_threads) const {
+  const HashedItemset query = segments_.front().Hash(items);
   std::vector<size_t> counts(segments_.size(), 0);
   ParallelFor(num_threads, segments_.size(), [&](size_t idx) {
-    counts[idx] = segments_[idx].CountItemSet(items);
+    counts[idx] = segments_[idx].CountHashed(query);
   });
   return counts;
 }

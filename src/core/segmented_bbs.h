@@ -14,24 +14,70 @@
 // SegmentedBbs mirrors the counting API of BbsIndex and adds segment-level
 // persistence (one file per segment plus a manifest).
 //
-// Segments are also the unit of parallelism: CountItemSet and CountPerSegment
-// accept a thread count and fan the independent per-segment queries out over
-// a ParallelFor, merging counts (and per-segment IoStats) deterministically
-// in segment order. The query path is thread-safe: concurrent counting calls
-// from many threads are fine; Insert requires exclusive access.
+// A count hashes the itemset once (BbsIndex::Hash) and every segment maps
+// those raw positions through its own fold (CountSegmentRange, the one
+// per-segment count loop, which SegmentedBbs, the service's Snapshot and
+// its batch scheduler share). With a thread count above one the segments
+// split into contiguous ranges counted in parallel; counts and IoStats are
+// sums, so the result is identical to the serial pass. The query path is
+// thread-safe: concurrent counting calls from many threads are fine; Insert
+// requires exclusive access.
 
 #ifndef BBSMINE_CORE_SEGMENTED_BBS_H_
 #define BBSMINE_CORE_SEGMENTED_BBS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/bbs_index.h"
-#include "obs/trace.h"
 #include "util/file_io.h"
+#include "util/thread_pool.h"
 
 namespace bbsmine {
+
+/// Counts `query` over segments [first, last) of `segments` — a SegmentedBbs
+/// or a service::Snapshot, anything with segment(i) — charging each
+/// segment's slice reads to `io` (when non-null). `query` comes from Hash on
+/// any of the segments (they share one config), so the range costs one
+/// CountHashed per segment and no hashing or allocation per segment.
+template <typename Segments>
+size_t CountSegmentRange(const Segments& segments, const HashedItemset& query,
+                         size_t first, size_t last, IoStats* io) {
+  size_t total = 0;
+  for (size_t idx = first; idx < last; ++idx) {
+    total += segments.segment(idx).CountHashed(query, io);
+  }
+  return total;
+}
+
+/// Estimated number of transactions of `segments` containing `items`
+/// (0 without segments). With `num_threads` > 1 (0 = one per hardware
+/// thread) the segments split into up to that many contiguous ranges
+/// counted in parallel; the count and the IoStats total are sums, identical
+/// to the serial pass.
+template <typename Segments>
+size_t CountSegments(const Segments& segments, const Itemset& items,
+                     IoStats* io, size_t num_threads) {
+  const size_t n = segments.num_segments();
+  if (n == 0) return 0;
+  const HashedItemset query = segments.segment(0).Hash(items);
+  const size_t ranges = std::min(ResolveThreads(num_threads), n);
+  if (ranges <= 1) return CountSegmentRange(segments, query, 0, n, io);
+  std::vector<size_t> counts(ranges, 0);
+  std::vector<IoStats> range_io(ranges);
+  ParallelFor(ranges, ranges, [&](size_t r) {
+    counts[r] = CountSegmentRange(segments, query, n * r / ranges,
+                                  n * (r + 1) / ranges, &range_io[r]);
+  });
+  size_t total = 0;
+  for (size_t r = 0; r < ranges; ++r) {
+    total += counts[r];
+    if (io != nullptr) *io += range_io[r];
+  }
+  return total;
+}
 
 /// One segment file's manifest entry: its transaction count and the CRC-32
 /// of the complete serialized file. The CRC binds manifest and segment
@@ -104,11 +150,9 @@ class SegmentedBbs {
   /// is non-null each segment's touched slices are charged. With
   /// `num_threads` > 1 the segments are counted in parallel (0 = one thread
   /// per hardware thread); the result and the IoStats total are identical
-  /// to the serial run. `tracer`, when non-null, records one kTraceKernel
-  /// span per segment count (opt-in category) under an overall span.
+  /// to the serial run (CountSegments).
   size_t CountItemSet(const Itemset& items, IoStats* io = nullptr,
-                      size_t num_threads = 1,
-                      obs::Tracer* tracer = nullptr) const;
+                      size_t num_threads = 1) const;
 
   /// Per-segment counts for `items` (diagnostics / targeted probing: the
   /// caller learns which segments can contain matches). `num_threads` as in

@@ -44,7 +44,6 @@ ServiceMetrics::ServiceMetrics(const WindowOptions& windows)
   rejected_backpressure = AddCounter("counters.rejected_backpressure");
   batches = AddCounter("counters.batches");
   batch_fused_requests = AddCounter("counters.batch_fused_requests");
-  shared_seed_queries = AddCounter("counters.shared_seed_queries");
   inserted_transactions = AddCounter("counters.inserted_transactions");
   compacted_segments = AddCounter("counters.compacted_segments");
   slow_queries = AddCounter("counters.slow_queries");

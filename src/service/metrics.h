@@ -92,8 +92,6 @@ class ServiceMetrics {
   size_t rejected_backpressure;  ///< COUNTs bounced by the admission queue
   size_t batches;                ///< scheduler batches executed
   size_t batch_fused_requests;   ///< requests answered from a shared batch
-  size_t shared_seed_queries;    ///< per-segment counts seeded from the
-                                 ///< batch's shared single-item slice cache
   size_t inserted_transactions;
   size_t compacted_segments;     ///< cold sealed segments fold-compacted
   size_t slow_queries;           ///< requests over the slow-query threshold

@@ -1,9 +1,7 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/json.h"
@@ -150,8 +148,8 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
     }
   }
 
-  Snapshot snap = index_->Acquire();
-  size_t num_segments = snap.num_segments();
+  const Snapshot snap = index_->Acquire();
+  const size_t num_segments = snap.num_segments();
 
   // Collapse identical itemsets, preserving first-arrival order.
   std::map<Itemset, size_t> group_of;
@@ -164,7 +162,7 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
   }
 
   // A sampled trace id per query group (the first sampled request's), for
-  // attributing per-segment spans of the fan-out below.
+  // attributing the segment-range spans of the fan-out below.
   std::vector<const std::string*> group_trace(uniques.size(), nullptr);
   if (tracer_ != nullptr && tracer_->enabled(obs::kTraceSegment)) {
     for (size_t r = 0; r < batch.size(); ++r) {
@@ -175,86 +173,39 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
     }
   }
 
-  // Items appearing in two or more distinct queries share their slice
-  // streams: their single-item transaction vectors are computed once per
-  // segment and reused as seeds below.
-  std::unordered_map<ItemId, size_t> shared_slot;
-  {
-    std::unordered_map<ItemId, size_t> query_count;
+  // Each distinct query is hashed once and counted by cells of contiguous
+  // segment ranges, one range per batch thread. Counts and slice words are
+  // sums, so every answer matches a serial count over the same prefix.
+  std::vector<HashedItemset> hashed;
+  hashed.reserve(uniques.size());
+  if (num_segments > 0) {
     for (const Itemset* q : uniques) {
-      for (ItemId item : *q) ++query_count[item];
-    }
-    for (const Itemset* q : uniques) {
-      for (ItemId item : *q) {
-        if (query_count[item] >= 2) {
-          shared_slot.emplace(item, shared_slot.size());
-        }
-      }
+      hashed.push_back(snap.segment(0).Hash(*q));
     }
   }
-  struct CacheEntry {
-    BitVector vec;
-    size_t count = 0;
+  const size_t threads = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
+  const size_t ranges = std::min(threads, num_segments);
+  struct Cell {
+    uint64_t count = 0;
+    uint64_t slice_words = 0;
   };
-  std::vector<ItemId> shared_items(shared_slot.size());
-  for (const auto& [item, slot] : shared_slot) shared_items[slot] = item;
-  std::vector<CacheEntry> cache(shared_slot.size() * num_segments);
-  ForEachCell(cache.size(), [&](size_t cell) {
-    size_t seg_idx = cell / shared_items.size();
-    ItemId item = shared_items[cell % shared_items.size()];
-    CacheEntry& entry = cache[cell];
-    entry.count =
-        snap.segment(seg_idx).CountItemSet({item}, &entry.vec);
-  });
-
-  // Per-(query, segment) counts. Each cell is independent; the reduction
-  // below runs in segment order so totals match a serial count.
-  std::vector<size_t> cell_counts(uniques.size() * num_segments, 0);
-  std::vector<uint64_t> cell_words(cell_counts.size(), 0);
-  std::atomic<uint64_t> seeded{0};
-  ForEachCell(cell_counts.size(), [&](size_t cell) {
-    size_t q_idx = cell / num_segments;
-    size_t seg_idx = cell % num_segments;
-    const Itemset& query = *uniques[q_idx];
-    const BbsIndex& segment = snap.segment(seg_idx);
+  std::vector<Cell> cells(uniques.size() * ranges);
+  ForEachCell(cells.size(), [&](size_t cell) {
+    const size_t q_idx = cell / ranges;
+    const size_t first = num_segments * (cell % ranges) / ranges;
+    const size_t last = num_segments * (cell % ranges + 1) / ranges;
     const std::string* trace_id = group_trace[q_idx];
     const double cell_ts_us =
         trace_id != nullptr ? tracer_->NowMicros() : 0;
     IoStats io;
-
-    // Seed from the sparsest cached vector the query contains, if any.
-    size_t best = SIZE_MAX;
-    ItemId best_item = 0;
-    for (ItemId item : query) {
-      auto it = shared_slot.find(item);
-      if (it == shared_slot.end()) continue;
-      size_t slot = seg_idx * shared_items.size() + it->second;
-      if (best == SIZE_MAX || cache[slot].count < cache[best].count) {
-        best = slot;
-        best_item = item;
-      }
-    }
-    if (best == SIZE_MAX) {
-      cell_counts[cell] = segment.CountItemSet(query, nullptr, &io);
-    } else {
-      seeded.fetch_add(1, std::memory_order_relaxed);
-      if (query.size() == 1) {
-        cell_counts[cell] = cache[best].count;
-      } else {
-        BitVector vec = cache[best].vec;
-        size_t count = cache[best].count;
-        for (ItemId item : query) {
-          if (item == best_item) continue;
-          count = segment.AndItemSlices(item, &vec, &io);
-        }
-        cell_counts[cell] = count;
-      }
-    }
-    cell_words[cell] = io.slice_words_touched;
+    cells[cell].count =
+        CountSegmentRange(snap, hashed[q_idx], first, last, &io);
+    cells[cell].slice_words = io.slice_words_touched;
     if (trace_id != nullptr) {
       std::string args = "\"trace_id\": \"" + obs::JsonEscape(*trace_id) +
                          "\", \"batch\": " + std::to_string(batch_id) +
-                         ", \"segment\": " + std::to_string(seg_idx) +
+                         ", \"segment\": " + std::to_string(first) +
+                         ", \"segments\": " + std::to_string(last - first) +
                          ", \"slice_words\": " +
                          std::to_string(io.slice_words_touched);
       tracer_->AddComplete(obs::kTraceSegment, "count.segment", cell_ts_us,
@@ -263,13 +214,10 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
     }
   });
 
-  std::vector<uint64_t> totals(uniques.size(), 0);
-  std::vector<uint64_t> group_words(uniques.size(), 0);
-  for (size_t q = 0; q < uniques.size(); ++q) {
-    for (size_t s = 0; s < num_segments; ++s) {
-      totals[q] += cell_counts[q * num_segments + s];
-      group_words[q] += cell_words[q * num_segments + s];
-    }
+  std::vector<Cell> totals(uniques.size());
+  for (size_t cell = 0; cell < cells.size(); ++cell) {
+    totals[cell / ranges].count += cells[cell].count;
+    totals[cell / ranges].slice_words += cells[cell].slice_words;
   }
 
   CountResult base;
@@ -279,8 +227,8 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
   base.batch_id = batch_id;
   for (size_t r = 0; r < batch.size(); ++r) {
     CountResult result = base;
-    result.count = totals[request_group[r]];
-    result.slice_words = group_words[request_group[r]];
+    result.count = totals[request_group[r]].count;
+    result.slice_words = totals[request_group[r]].slice_words;
     result.queue_wait_us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             batch_started_at - batch[r]->admitted_at)
@@ -293,8 +241,6 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
     std::string args = "\"batch\": " + std::to_string(batch_id) +
                        ", \"size\": " + std::to_string(batch.size()) +
                        ", \"uniques\": " + std::to_string(uniques.size()) +
-                       ", \"shared_items\": " +
-                       std::to_string(shared_items.size()) +
                        ", \"segments\": " + std::to_string(num_segments);
     tracer_->AddComplete(obs::kTraceBatch, "count.batch", batch_ts_us,
                          tracer_->NowMicros() - batch_ts_us,
@@ -306,7 +252,6 @@ void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
     if (batch.size() > 1) {
       metrics_->Inc(metrics_->batch_fused_requests, batch.size());
     }
-    metrics_->Inc(metrics_->shared_seed_queries, seeded.load());
     metrics_->GaugeMax(metrics_->batch_size_peak, batch.size());
     metrics_->ObserveLog2(metrics_->batch_size_hist, batch.size());
   }

@@ -1,10 +1,8 @@
 // Batched CountItemSet scheduler with bounded admission and backpressure.
 //
 // A busy daemon sees many concurrent COUNT requests. Answering each on its
-// own thread against its own snapshot wastes the property that makes
-// bit-sliced indexes serve well (COBS serves its signature index this way):
-// queries touching the same item stream the same slices, so in-flight
-// requests should be *fused* and share the streams. The scheduler:
+// own thread against its own snapshot would acquire one snapshot per request
+// and evaluate duplicate queries again. The scheduler:
 //
 //   * admits requests into a bounded queue — a full queue rejects with
 //     Status::Unavailable (backpressure; the wire layer surfaces it as a
@@ -17,15 +15,13 @@
 //     Requests arriving meanwhile queue up, and when the batch ends the
 //     oldest of them is handed the lead with one targeted wake-up. An
 //     uncontended COUNT is answered on the thread that read it;
-//   * items shared by two or more distinct queries of a batch get their
-//     single-item transaction vectors computed once per segment (the
-//     shared slice streams); each query then seeds from the sparsest
-//     cached vector it contains and ANDs only its remaining items' slices;
-//   * per-(query, segment) work is split between the leader and, with
-//     num_threads = N > 1, N - 1 pool workers (one thread in total at
-//     N = 1: no pool exists); per-query totals are reduced in segment
-//     order, so every answer is bit-identical to a serial
-//     SegmentedBbs::CountItemSet over the same prefix.
+//   * each distinct query is hashed once and counted over the snapshot's
+//     segments by CountSegmentRange (core/segmented_bbs.h). With
+//     num_threads = N > 1 a query's segments split into N contiguous
+//     ranges, one cell each, run by the leader and N - 1 pool workers (one
+//     thread in total at N = 1: no pool exists); per-query totals are
+//     reduced in segment order, so every answer is bit-identical to a
+//     serial SegmentedBbs::CountItemSet over the same prefix.
 //
 // Count() blocks the calling (connection) thread until its batch executes;
 // the contract mirrors a synchronous RPC handler.
@@ -56,8 +52,8 @@ struct SchedulerOptions {
   size_t max_pending = 1024;
   /// Largest number of requests fused into one batch.
   size_t max_batch = 256;
-  /// Threads executing a batch's per-(query, segment) cells, the leading
-  /// caller included (0 = one per hardware thread).
+  /// Threads executing a batch's per-(query, segment range) cells, the
+  /// leading caller included (0 = one per hardware thread).
   size_t num_threads = 0;
 };
 
@@ -75,13 +71,12 @@ struct CountResult {
   /// Which batch answered the request (monotonic per scheduler, 1-based).
   uint64_t batch_id = 0;
   /// 64-bit BBS slice words streamed to answer this request's query
-  /// (summed over segments; excludes the batch's shared seed cache, whose
-  /// cost is amortized across the queries that reuse it).
+  /// (summed over segments).
   uint64_t slice_words = 0;
 };
 
 /// Per-request observability context threaded through admission. `sampled`
-/// requests emit queue-wait and per-segment spans attributed to
+/// requests emit queue-wait and segment-range spans attributed to
 /// `trace_id`; unsampled requests still get queue_wait_us/batch_id back.
 struct CountObs {
   std::string trace_id;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/thread_pool.h"
-
 namespace bbsmine::service {
 
 size_t Snapshot::ApproxResidentBytes() const {
@@ -16,19 +14,7 @@ size_t Snapshot::ApproxResidentBytes() const {
 
 size_t Snapshot::CountItemSet(const Itemset& items, IoStats* io,
                               size_t num_threads) const {
-  const auto& segments = state_->segments;
-  std::vector<size_t> counts(segments.size(), 0);
-  std::vector<IoStats> segment_io(io != nullptr ? segments.size() : 0);
-  ParallelFor(num_threads, segments.size(), [&](size_t idx) {
-    counts[idx] = segments[idx]->CountItemSet(
-        items, nullptr, io != nullptr ? &segment_io[idx] : nullptr);
-  });
-  size_t total = 0;
-  for (size_t count : counts) total += count;
-  if (io != nullptr) {
-    for (const IoStats& per_segment : segment_io) *io += per_segment;
-  }
-  return total;
+  return CountSegments(*this, items, io, num_threads);
 }
 
 SnapshotManager::SnapshotManager(const BbsConfig& config,

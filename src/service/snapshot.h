@@ -110,8 +110,9 @@ class Snapshot {
 
   /// Estimated number of visible transactions containing `items`,
   /// accumulated segment by segment exactly like SegmentedBbs::CountItemSet
-  /// (never an underestimate). `num_threads` > 1 fans the per-segment
-  /// counts over a ParallelFor with a deterministic merge.
+  /// (never an underestimate): the itemset is hashed once and counted by
+  /// CountSegments. `num_threads` > 1 counts contiguous segment ranges in
+  /// parallel; the answer and IoStats are identical to the serial pass.
   size_t CountItemSet(const Itemset& items, IoStats* io = nullptr,
                       size_t num_threads = 1) const;
 

@@ -13,6 +13,8 @@
 
 #include "storage/transaction_db.h"
 #include "testing/reference.h"
+#include "util/crc32.h"
+#include "util/file_io.h"
 
 namespace bbsmine {
 namespace {
@@ -255,6 +257,39 @@ TEST(BbsIndexTest, LoadRejectsCorruption) {
   Result<BbsIndex> loaded = BbsIndex::Load(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// The v1 packed layout ("BBSIDX01") is retired: a well-formed v1 image —
+// here an empty 8-bit index, checksum and all — is rejected by both loaders
+// as Corruption.
+TEST(BbsIndexTest, RetiredV1LayoutIsRejected) {
+  auto append = [](std::string* out, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out->push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  std::string payload;
+  append(&payload, 8, 4);  // num_bits
+  append(&payload, 1, 4);  // num_hashes
+  append(&payload, static_cast<uint64_t>(HashKind::kModulo), 4);
+  append(&payload, 0, 8);  // seed
+  append(&payload, 0, 4);  // track_item_counts
+  append(&payload, 0, 4);  // folded_bits
+  append(&payload, 0, 8);  // transactions
+  append(&payload, 0, 8);  // item-count table size
+  std::string file = "BBSIDX01";
+  append(&file, 1, 4);  // format version
+  append(&file, Crc32(payload), 4);
+  file += payload;
+
+  Result<BbsIndex> parsed = BbsIndex::Deserialize(file, "v1 image");
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+
+  std::string path = TempPath("bbsmine_idx_v1.bin");
+  ASSERT_TRUE(WriteBinaryFile(path, file).ok());
+  EXPECT_EQ(BbsIndex::Load(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(BbsIndex::OpenMmap(path).status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
