@@ -18,10 +18,15 @@ namespace bbsmine::cluster {
 namespace {
 
 using obs::JsonValue;
+using service::ErrorCodeOf;
 using service::ErrorResponse;
+using service::IsBackpressure;
 using service::ItemsFromJson;
 using service::ItemsToJson;
 using service::OkResponse;
+using service::Verb;
+using service::VerbOf;
+using service::VerbRequest;
 
 using Clock = std::chrono::steady_clock;
 
@@ -38,32 +43,6 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point since) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - since)
           .count());
-}
-
-std::string VerbOf(const JsonValue& request) {
-  if (request.kind() != JsonValue::Kind::kObject || !request.Has("verb") ||
-      request.at("verb").kind() != JsonValue::Kind::kString) {
-    return "";
-  }
-  return request.at("verb").AsString();
-}
-
-/// The error code of a failed response ("" for ok / malformed responses).
-std::string ErrorCodeOf(const JsonValue& response) {
-  if (response.kind() != JsonValue::Kind::kObject || !response.Has("error") ||
-      response.at("error").kind() != JsonValue::Kind::kObject ||
-      !response.at("error").Has("code")) {
-    return "";
-  }
-  return response.at("error").at("code").AsString();
-}
-
-bool IsBackpressure(const JsonValue& response) {
-  if (response.kind() != JsonValue::Kind::kObject || !response.Has("ok") ||
-      response.at("ok").AsBool()) {
-    return false;
-  }
-  return ErrorCodeOf(response) == StatusCodeName(StatusCode::kUnavailable);
 }
 
 uint64_t UintField(const JsonValue& object, const std::string& key) {
@@ -157,8 +136,7 @@ Status RouterService::Init() {
   if (shards_.empty()) {
     return Status::InvalidArgument("shard map is empty");
   }
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
+  JsonValue request = VerbRequest(Verb::kShardInfo);
 
   // Handshake every shard at once, with patience — in a fresh cluster
   // the shards and the router race to their listen sockets. Each round
@@ -286,56 +264,58 @@ obs::JsonValue RouterService::Handle(const obs::JsonValue& request,
                                      const service::RequestContext&) {
   metrics_.Inc(metrics_.requests_total);
   metrics_.MaybeRotateWindows(MicrosSince(start_));
-  if (request.kind() != JsonValue::Kind::kObject || !request.Has("verb") ||
-      request.at("verb").kind() != JsonValue::Kind::kString) {
-    metrics_.Inc(metrics_.errors);
-    return ErrorResponse(
-        "", Status::InvalidArgument("request must be an object with a "
-                                    "string \"verb\" member"));
+  const Verb verb = VerbOf(request);
+  const char* rejection = nullptr;
+  switch (verb) {
+    case Verb::kUnknown:
+      metrics_.Inc(metrics_.errors);
+      return service::UnknownVerbResponse(request);
+    case Verb::kDump:
+      rejection = "DUMP is daemon-local; send it to a shard directly";
+      break;
+    case Verb::kPromote:
+      rejection =
+          "PROMOTE is shard-local; the router promotes replicas itself";
+      break;
+    case Verb::kWalStream:
+      rejection = "WALSTREAM is served by a durable primary, not the router";
+      break;
+    default:
+      break;
   }
-  const std::string& verb = request.at("verb").AsString();
+  if (rejection != nullptr) {
+    metrics_.Inc(metrics_.errors);
+    return ErrorResponse(verb, Status::InvalidArgument(rejection));
+  }
+  metrics_.Inc(metrics_.requests(verb));
   const auto begin = std::chrono::steady_clock::now();
   JsonValue response;
-  size_t latency_slot;
-  if (verb == "PING") {
-    latency_slot = metrics_.latency_ping;
-    metrics_.Inc(metrics_.requests_ping);
-    response = HandlePing();
-  } else if (verb == "COUNT") {
-    latency_slot = metrics_.latency_count;
-    metrics_.Inc(metrics_.requests_count);
-    response = HandleCount(request);
-  } else if (verb == "INSERT") {
-    latency_slot = metrics_.latency_insert;
-    metrics_.Inc(metrics_.requests_insert);
-    response = HandleInsert(request);
-  } else if (verb == "MINE") {
-    latency_slot = metrics_.latency_mine;
-    metrics_.Inc(metrics_.requests_mine);
-    response = HandleMine(request);
-  } else if (verb == "STATS") {
-    latency_slot = metrics_.latency_stats;
-    metrics_.Inc(metrics_.requests_stats);
-    response = HandleStats();
-  } else if (verb == "CHECKPOINT") {
-    latency_slot = metrics_.latency_checkpoint;
-    metrics_.Inc(metrics_.requests_checkpoint);
-    response = HandleCheckpoint();
-  } else if (verb == "SHARDINFO") {
-    latency_slot = metrics_.latency_shardinfo;
-    metrics_.Inc(metrics_.requests_shardinfo);
-    response = HandleShardInfo();
-  } else if (verb == "DUMP") {
-    metrics_.Inc(metrics_.errors);
-    return ErrorResponse(
-        "DUMP", Status::InvalidArgument(
-                    "DUMP is daemon-local; send it to a shard directly"));
-  } else {
-    metrics_.Inc(metrics_.errors);
-    return ErrorResponse(verb,
-                         Status::InvalidArgument("unknown verb: " + verb));
+  switch (verb) {
+    case Verb::kPing:
+      response = HandlePing();
+      break;
+    case Verb::kCount:
+      response = HandleCount(request);
+      break;
+    case Verb::kInsert:
+      response = HandleInsert(request);
+      break;
+    case Verb::kMine:
+      response = HandleMine(request);
+      break;
+    case Verb::kStats:
+      response = HandleStats();
+      break;
+    case Verb::kCheckpoint:
+      response = HandleCheckpoint();
+      break;
+    case Verb::kShardInfo:
+      response = HandleShardInfo();
+      break;
+    default:
+      break;  // rejected above
   }
-  metrics_.ObserveLog2(latency_slot, MicrosSince(begin));
+  metrics_.ObserveLog2(metrics_.latency(verb), MicrosSince(begin));
   if (!response.at("ok").AsBool()) metrics_.Inc(metrics_.errors);
   return response;
 }
@@ -354,7 +334,7 @@ struct RouterService::Leg {
         idx(idx),
         request(request),
         verb(VerbOf(*request)),
-        idempotent(service::IsIdempotentVerb(verb)),
+        idempotent(service::InfoOf(verb).idempotent),
         start(Clock::now()),
         deadline(start +
                  std::chrono::milliseconds(
@@ -524,7 +504,7 @@ struct RouterService::Leg {
   ShardState& shard;
   const size_t idx;
   const JsonValue* request;
-  const std::string verb;
+  const Verb verb;
   const bool idempotent;
   const Clock::time_point start;
   const Clock::time_point deadline;
@@ -617,7 +597,7 @@ RouterService::ShardReply RouterService::CallShard(
 }
 
 void RouterService::NoteShardSuccess(size_t idx, const obs::JsonValue& response,
-                                     const std::string& verb) {
+                                     service::Verb verb) {
   ShardState& shard = *shards_[idx];
   if (response.Has("term") && response.at("term").is_number()) {
     // Terms only ratchet up (monotonic fencing); a response can raise the
@@ -642,7 +622,7 @@ void RouterService::NoteShardSuccess(size_t idx, const obs::JsonValue& response,
                              std::memory_order_relaxed);
   }
   const bool was_up = shard.up.exchange(true, std::memory_order_relaxed);
-  if (!was_up && verb != "SHARDINFO") {
+  if (!was_up && verb != Verb::kShardInfo) {
     // Down -> up transition: the shard may have restarted with recovered
     // (or different) content, so its Bloofi leaf is re-pulled before the
     // stale one can wrongly prune it.
@@ -651,8 +631,7 @@ void RouterService::NoteShardSuccess(size_t idx, const obs::JsonValue& response,
 }
 
 void RouterService::RefreshShard(size_t idx) {
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
+  JsonValue request = VerbRequest(Verb::kShardInfo);
   // Sample the leaf version BEFORE the fetch: any INSERT leaf update not
   // counted here was acked by the shard before the request below was even
   // sent, so the signature it answers with already contains those bits.
@@ -709,8 +688,7 @@ bool RouterService::TryFailover(size_t idx) {
   {
     service::ClientSession confirm(shard.entry.primary.host,
                                    shard.entry.primary.port);
-    JsonValue confirm_request = JsonValue::Object();
-    confirm_request.Set("verb", JsonValue::String("SHARDINFO"));
+    JsonValue confirm_request = VerbRequest(Verb::kShardInfo);
     Result<JsonValue> alive =
         confirm.Call(confirm_request, options_.probe_timeout_ms);
     if (alive.ok() && alive->kind() == JsonValue::Kind::kObject &&
@@ -718,7 +696,7 @@ bool RouterService::TryFailover(size_t idx) {
         UintField(*alive, "term") >=
             shard.term.load(std::memory_order_relaxed)) {
       lock.unlock();
-      NoteShardSuccess(idx, *alive, "PROBE");
+      NoteShardSuccess(idx, *alive, Verb::kUnknown);
       return false;
     }
   }
@@ -729,8 +707,7 @@ bool RouterService::TryFailover(size_t idx) {
   Result<service::ClientSession> session =
       service::ClientSession::Connect(replica.host, replica.port);
   if (!session.ok()) return false;
-  JsonValue info_request = JsonValue::Object();
-  info_request.Set("verb", JsonValue::String("SHARDINFO"));
+  JsonValue info_request = VerbRequest(Verb::kShardInfo);
   Result<JsonValue> info = session->Call(info_request, options_.probe_timeout_ms);
   if (!info.ok() || info->kind() != JsonValue::Kind::kObject ||
       !info->Has("ok") || !info->at("ok").AsBool()) {
@@ -754,8 +731,7 @@ bool RouterService::TryFailover(size_t idx) {
       std::max(shard.term.load(std::memory_order_relaxed),
                UintField(*info, "term")) +
       1;
-  JsonValue promote_request = JsonValue::Object();
-  promote_request.Set("verb", JsonValue::String("PROMOTE"));
+  JsonValue promote_request = VerbRequest(Verb::kPromote);
   promote_request.Set("term", JsonValue::Uint(new_term));
   Result<JsonValue> promoted =
       session->Call(promote_request, options_.probe_timeout_ms);
@@ -836,8 +812,7 @@ void RouterService::ProbeLoop() {
 bool RouterService::ProbeShard(size_t idx) {
   ShardState& shard = *shards_[idx];
   const ShardEndpoint endpoint = ActiveEndpoint(shard);
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
+  JsonValue request = VerbRequest(Verb::kShardInfo);
   service::ClientSession session(endpoint.host, endpoint.port);
   Result<JsonValue> response = session.Call(request, options_.probe_timeout_ms);
   if (!response.ok() || response->kind() != JsonValue::Kind::kObject ||
@@ -884,7 +859,7 @@ bool RouterService::ProbeShard(size_t idx) {
   // A non-SHARDINFO verb name forces NoteShardSuccess's down->up path to
   // re-pull the Bloofi leaf — the shard's content may have moved while it
   // was dark.
-  NoteShardSuccess(idx, *response, "PROBE");
+  NoteShardSuccess(idx, *response, Verb::kUnknown);
   return true;
 }
 
@@ -947,8 +922,7 @@ void RouterService::FinishClusterResponse(obs::JsonValue* response,
 }
 
 obs::JsonValue RouterService::HandlePing() {
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("PING"));
+  JsonValue request = VerbRequest(Verb::kPing);
   std::vector<size_t> all(shards_.size());
   std::iota(all.begin(), all.end(), size_t{0});
   std::vector<ShardReply> replies = FanOut(all, request);
@@ -965,7 +939,7 @@ obs::JsonValue RouterService::HandlePing() {
   }
   // The router itself is up, so PING succeeds even with shards dark — the
   // degraded trailer carries the bad news.
-  JsonValue response = OkResponse("PING");
+  JsonValue response = OkResponse(Verb::kPing);
   response.Set("epoch", JsonValue::Uint(epoch));
   FinishClusterResponse(&response, shards_.size(), 0, missing);
   return response;
@@ -973,10 +947,11 @@ obs::JsonValue RouterService::HandlePing() {
 
 obs::JsonValue RouterService::HandleCount(const obs::JsonValue& request) {
   if (draining_.load(std::memory_order_relaxed)) {
-    return ErrorResponse("COUNT", Status::Unavailable("service is draining"));
+    return ErrorResponse(Verb::kCount,
+                         Status::Unavailable("service is draining"));
   }
   Result<Itemset> items = ItemsFromJson(request.at("items"));
-  if (!items.ok()) return ErrorResponse("COUNT", items.status());
+  if (!items.ok()) return ErrorResponse(Verb::kCount, items.status());
   const std::vector<uint32_t> positions = QueryPositions(*items);
   const std::vector<size_t> targets = MatchShards(positions);
   const size_t pruned = shards_.size() - targets.size();
@@ -1030,10 +1005,10 @@ obs::JsonValue RouterService::HandleCount(const obs::JsonValue& request) {
   }
   if (!missing.empty() && !options_.allow_degraded) {
     return ErrorResponse(
-        "COUNT", Status::Unavailable("shards unreachable: [" +
+        Verb::kCount, Status::Unavailable("shards unreachable: [" +
                                      JoinIndices(missing) + "]"));
   }
-  JsonValue response = OkResponse("COUNT");
+  JsonValue response = OkResponse(Verb::kCount);
   response.Set("items", ItemsToJson(*items));
   response.Set("count", JsonValue::Uint(count));
   response.Set("epoch", JsonValue::Uint(epoch));
@@ -1046,7 +1021,7 @@ obs::JsonValue RouterService::HandleCount(const obs::JsonValue& request) {
 
 obs::JsonValue RouterService::HandleInsert(const obs::JsonValue& request) {
   if (draining_.load(std::memory_order_relaxed)) {
-    return ErrorResponse("INSERT",
+    return ErrorResponse(Verb::kInsert,
                          Status::Unavailable("service is draining"));
   }
   // The range partition's tail shard takes all new transactions: shard i
@@ -1054,7 +1029,7 @@ obs::JsonValue RouterService::HandleInsert(const obs::JsonValue& request) {
   // leans on.
   const size_t tail = shards_.size() - 1;
   ShardReply reply = CallShard(tail, request);
-  if (!reply.has_response) return ErrorResponse("INSERT", reply.status);
+  if (!reply.has_response) return ErrorResponse(Verb::kInsert, reply.status);
   if (!reply.response.at("ok").AsBool()) return reply.response;
 
   // Keep pruning truthful: OR the inserted items' positions into the tail
@@ -1092,39 +1067,25 @@ obs::JsonValue RouterService::HandleInsert(const obs::JsonValue& request) {
 
 obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
   if (draining_.load(std::memory_order_relaxed)) {
-    return ErrorResponse("MINE", Status::Unavailable("service is draining"));
+    return ErrorResponse(Verb::kMine,
+                         Status::Unavailable("service is draining"));
   }
   if (!mine_enabled_) {
-    return ErrorResponse("MINE",
+    return ErrorResponse(Verb::kMine,
                          Status::InvalidArgument(
                              "MINE requires every shard to run with --db"));
   }
-  double min_support = options_.default_min_support;
-  if (request.Has("minsup")) {
-    const JsonValue& minsup = request.at("minsup");
-    if (!minsup.is_number() || minsup.AsDouble() <= 0 ||
-        minsup.AsDouble() > 1) {
-      return ErrorResponse("MINE", Status::InvalidArgument(
-                                       "\"minsup\" must be in (0, 1]"));
-    }
-    min_support = minsup.AsDouble();
-  }
-  size_t top = options_.mine_top;
-  if (request.Has("top")) {
-    const JsonValue& requested = request.at("top");
-    if (!requested.is_number() || requested.AsInt() < 1) {
-      return ErrorResponse(
-          "MINE", Status::InvalidArgument("\"top\" must be a positive int"));
-    }
-    top = static_cast<size_t>(requested.AsUint());
-  }
+  Result<service::MineArgs> args = service::MineArgsFromJson(
+      request, {options_.default_min_support, options_.mine_top});
+  if (!args.ok()) return ErrorResponse(Verb::kMine, args.status());
+  const double min_support = args->min_support;
+  const size_t top = args->top;
 
   // Round 1: every shard mines at the SAME relative minsup (its local
   // τ_i = ceil(minsup·n_i)), untruncated. Pigeonhole guarantees the union
   // of the local frequent sets contains every globally frequent pattern
   // (cluster/merge.h has the argument).
-  JsonValue round1_request = JsonValue::Object();
-  round1_request.Set("verb", JsonValue::String("MINE"));
+  JsonValue round1_request = VerbRequest(Verb::kMine);
   round1_request.Set("minsup", JsonValue::Double(min_support));
   round1_request.Set("top", JsonValue::Uint(options_.mine_round1_top));
   std::vector<size_t> all(shards_.size());
@@ -1150,7 +1111,7 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
     const JsonValue& patterns = r.at("patterns");
     if (UintField(r, "total_frequent") != patterns.size()) {
       return ErrorResponse(
-          "MINE",
+          Verb::kMine,
           Status::Internal(
               "shard " + std::to_string(i) +
               " truncated its round-1 result; completeness (and "
@@ -1160,18 +1121,18 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
     round1[i].transactions = UintField(r, "transactions");
     for (size_t p = 0; p < patterns.size(); ++p) {
       Result<Itemset> items = ItemsFromJson(patterns.at(p).at("items"));
-      if (!items.ok()) return ErrorResponse("MINE", items.status());
+      if (!items.ok()) return ErrorResponse(Verb::kMine, items.status());
       round1[i].supports[std::move(*items)] =
           UintField(patterns.at(p), "support");
     }
   }
   if (missing.size() == shards_.size()) {
-    return ErrorResponse("MINE",
+    return ErrorResponse(Verb::kMine,
                          Status::Unavailable("no shard reachable"));
   }
   if (!missing.empty() && !options_.allow_degraded) {
     return ErrorResponse(
-        "MINE", Status::Unavailable("shards unreachable: [" +
+        Verb::kMine, Status::Unavailable("shards unreachable: [" +
                                     JoinIndices(missing) + "]"));
   }
 
@@ -1205,8 +1166,7 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
       candidates_json.Append(ItemsToJson(candidate));
     }
     JsonValue& request = round2_requests[idx];
-    request = JsonValue::Object();
-    request.Set("verb", JsonValue::String("MINE"));
+    request = VerbRequest(Verb::kMine);
     request.Set("candidates", std::move(candidates_json));
     request.Set("at_txn", JsonValue::Uint(round1[idx].transactions));
   }
@@ -1235,7 +1195,7 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   if (!missing.empty() && !options_.allow_degraded) {
     return ErrorResponse(
-        "MINE", Status::Unavailable("shards unreachable: [" +
+        Verb::kMine, Status::Unavailable("shards unreachable: [" +
                                     JoinIndices(missing) + "]"));
   }
 
@@ -1250,7 +1210,7 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
     entry.Set("support", JsonValue::Uint(pattern.support));
     patterns.Append(std::move(entry));
   }
-  JsonValue response = OkResponse("MINE");
+  JsonValue response = OkResponse(Verb::kMine);
   response.Set("min_support", JsonValue::Double(min_support));
   response.Set("transactions", JsonValue::Uint(total));
   response.Set("total_frequent", JsonValue::Uint(total_frequent));
@@ -1268,11 +1228,10 @@ obs::JsonValue RouterService::HandleMine(const obs::JsonValue& request) {
 
 obs::JsonValue RouterService::HandleCheckpoint() {
   if (draining_.load(std::memory_order_relaxed)) {
-    return ErrorResponse("CHECKPOINT",
+    return ErrorResponse(Verb::kCheckpoint,
                          Status::Unavailable("service is draining"));
   }
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("CHECKPOINT"));
+  JsonValue request = VerbRequest(Verb::kCheckpoint);
   std::vector<size_t> all(shards_.size());
   std::iota(all.begin(), all.end(), size_t{0});
   std::vector<ShardReply> replies = FanOut(all, request);
@@ -1290,11 +1249,11 @@ obs::JsonValue RouterService::HandleCheckpoint() {
   }
   if (!failed.empty()) {
     return ErrorResponse(
-        "CHECKPOINT",
+        Verb::kCheckpoint,
         Status::Unavailable("checkpoint failed on shards: [" +
                             JoinIndices(failed) + "]"));
   }
-  JsonValue response = OkResponse("CHECKPOINT");
+  JsonValue response = OkResponse(Verb::kCheckpoint);
   response.Set("epoch", JsonValue::Uint(epoch));
   response.Set("transactions", JsonValue::Uint(TotalTransactions()));
   response.Set("checkpoints", JsonValue::Uint(checkpoints));
@@ -1314,7 +1273,7 @@ obs::JsonValue RouterService::HandleShardInfo() {
   config_json.Set("hash_kind",
                   JsonValue::Uint(static_cast<uint64_t>(config_.hash_kind)));
   config_json.Set("seed", JsonValue::Uint(config_.seed));
-  JsonValue response = OkResponse("SHARDINFO");
+  JsonValue response = OkResponse(Verb::kShardInfo);
   response.Set("epoch", JsonValue::Uint(epoch));
   response.Set("transactions", JsonValue::Uint(TotalTransactions()));
   response.Set("segments", JsonValue::Uint(shards_.size()));
@@ -1331,7 +1290,7 @@ obs::JsonValue RouterService::HandleShardInfo() {
 }
 
 obs::JsonValue RouterService::HandleStats() {
-  JsonValue response = OkResponse("STATS");
+  JsonValue response = OkResponse(Verb::kStats);
   response.Set("report", BuildStatsReport());
   return response;
 }

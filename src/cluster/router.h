@@ -329,8 +329,11 @@ class RouterService : public service::RequestHandler {
   /// insert's bits.
   void RefreshShard(size_t idx);
 
+  /// Records a shard's answer to `verb`. A down shard coming back up has
+  /// its Bloofi leaf re-pulled unless the answer is itself a SHARDINFO
+  /// (kUnknown forces the re-pull).
   void NoteShardSuccess(size_t idx, const obs::JsonValue& response,
-                        const std::string& verb);
+                        service::Verb verb);
 
   /// The endpoint shard routing currently targets (primary, or the
   /// replica once failed over).

@@ -72,6 +72,10 @@ int64_t JsonValue::AsInt() const {
     case Kind::kUint:
       return static_cast<int64_t>(uint_);
     case Kind::kDouble:
+      // Saturate: converting a double outside int64's range (or NaN) to an
+      // integer is undefined behaviour, and parsed input can hold 1e300.
+      if (!(double_ > -0x1p63)) return double_ < 0 ? INT64_MIN : 0;
+      if (double_ >= 0x1p63) return INT64_MAX;
       return static_cast<int64_t>(double_);
     default:
       return 0;
@@ -85,7 +89,9 @@ uint64_t JsonValue::AsUint() const {
     case Kind::kUint:
       return uint_;
     case Kind::kDouble:
-      return double_ < 0 ? 0 : static_cast<uint64_t>(double_);
+      if (!(double_ > 0)) return 0;  // negative or NaN
+      if (double_ >= 0x1p64) return UINT64_MAX;
+      return static_cast<uint64_t>(double_);
     default:
       return 0;
   }
@@ -282,7 +288,7 @@ class Parser {
 
   Result<JsonValue> Run() {
     JsonValue value;
-    if (Status st = ParseValue(&value); !st.ok()) return st;
+    if (Status st = ParseValue(&value, 0); !st.ok()) return st;
     SkipWhitespace();
     if (pos_ != text_.size()) return Error("trailing characters");
     return value;
@@ -319,12 +325,13 @@ class Parser {
     return false;
   }
 
-  Status ParseValue(JsonValue* out) {
+  /// `depth` counts the containers enclosing the value.
+  Status ParseValue(JsonValue* out, size_t depth) {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{') return ParseObject(out, depth + 1);
+    if (c == '[') return ParseArray(out, depth + 1);
     if (c == '"') return ParseString(out);
     if (ConsumeLiteral("null")) {
       *out = JsonValue::Null();
@@ -341,8 +348,9 @@ class Parser {
     return ParseNumber(out);
   }
 
-  Status ParseObject(JsonValue* out) {
+  Status ParseObject(JsonValue* out, size_t depth) {
     ++pos_;  // '{'
+    if (depth > JsonValue::kMaxDepth) return Error("nesting too deep");
     *out = JsonValue::Object();
     if (Consume('}')) return Status::Ok();
     for (;;) {
@@ -354,7 +362,7 @@ class Parser {
       if (Status st = ParseString(&key); !st.ok()) return st;
       if (!Consume(':')) return Error("expected ':'");
       JsonValue value;
-      if (Status st = ParseValue(&value); !st.ok()) return st;
+      if (Status st = ParseValue(&value, depth); !st.ok()) return st;
       out->Set(key.AsString(), std::move(value));
       if (Consume(',')) continue;
       if (Consume('}')) return Status::Ok();
@@ -362,13 +370,14 @@ class Parser {
     }
   }
 
-  Status ParseArray(JsonValue* out) {
+  Status ParseArray(JsonValue* out, size_t depth) {
     ++pos_;  // '['
+    if (depth > JsonValue::kMaxDepth) return Error("nesting too deep");
     *out = JsonValue::Array();
     if (Consume(']')) return Status::Ok();
     for (;;) {
       JsonValue value;
-      if (Status st = ParseValue(&value); !st.ok()) return st;
+      if (Status st = ParseValue(&value, depth); !st.ok()) return st;
       out->Append(std::move(value));
       if (Consume(',')) continue;
       if (Consume(']')) return Status::Ok();

@@ -55,7 +55,8 @@ class JsonValue {
 
   // Accessors; the caller is responsible for checking kind() (an accessor of
   // the wrong kind returns a zero value rather than crashing, so schema
-  // validation code can stay linear).
+  // validation code can stay linear). AsInt/AsUint truncate a double
+  // toward zero and saturate one outside the target range.
   bool AsBool() const;
   int64_t AsInt() const;
   uint64_t AsUint() const;
@@ -78,7 +79,13 @@ class JsonValue {
   /// per level; 0 emits a compact single line.
   std::string Serialize(int indent = 2) const;
 
+  /// Deepest container nesting Parse accepts. Parsing recurses once per
+  /// level, so the bound keeps a hostile document from exhausting the
+  /// stack; nothing this project writes nests more than a handful deep.
+  static constexpr size_t kMaxDepth = 256;
+
   /// Parses a complete JSON document (trailing whitespace allowed).
+  /// Containers nested deeper than kMaxDepth are InvalidArgument.
   static Result<JsonValue> Parse(const std::string& text);
 
  private:

@@ -9,44 +9,6 @@
 
 namespace bbsmine::service {
 
-namespace {
-
-bool IsBackpressureResponse(const obs::JsonValue& response) {
-  if (response.kind() != obs::JsonValue::Kind::kObject ||
-      !response.Has("ok") || response.at("ok").AsBool()) {
-    return false;
-  }
-  if (!response.Has("error") ||
-      response.at("error").kind() != obs::JsonValue::Kind::kObject ||
-      !response.at("error").Has("code")) {
-    return false;
-  }
-  return response.at("error").at("code").AsString() ==
-         StatusCodeName(StatusCode::kUnavailable);
-}
-
-/// The request's verb, or "" when the request is not a well-formed verb
-/// document (the daemon will answer InvalidArgument; retry policy treats
-/// it conservatively).
-std::string RequestVerb(const obs::JsonValue& request) {
-  if (request.kind() != obs::JsonValue::Kind::kObject ||
-      !request.Has("verb") ||
-      request.at("verb").kind() != obs::JsonValue::Kind::kString) {
-    return "";
-  }
-  return request.at("verb").AsString();
-}
-
-}  // namespace
-
-bool IsIdempotentVerb(const std::string& verb) {
-  // CHECKPOINT is excluded deliberately: it is *effectively* idempotent,
-  // but the at-most-once default for anything not on this list means a new
-  // verb added to the daemon can never be double-applied by an old client.
-  return verb == "PING" || verb == "COUNT" || verb == "STATS" ||
-         verb == "MINE" || verb == "DUMP" || verb == "SHARDINFO";
-}
-
 uint64_t RetryBackoffMs(const RetryOptions& options, uint32_t attempt,
                         uint64_t* jitter_state) {
   // Exponential backoff with jitter in [0, base): doubling spreads retry
@@ -109,7 +71,7 @@ Result<obs::JsonValue> ClientSession::Receive(int timeout_ms) {
 
 Result<CallOutcome> ClientSession::CallWithRetry(const obs::JsonValue& request,
                                                  const RetryOptions& options) {
-  const bool timeout_retryable = IsIdempotentVerb(RequestVerb(request));
+  const bool timeout_retryable = InfoOf(VerbOf(request)).idempotent;
   uint64_t jitter_state = options.jitter_seed;
   CallOutcome outcome;
   Status last_timeout = Status::Ok();
@@ -140,7 +102,7 @@ Result<CallOutcome> ClientSession::CallWithRetry(const obs::JsonValue& request,
       return response.status();  // transport: not retryable
     }
     outcome.response = std::move(*response);
-    if (IsBackpressureResponse(outcome.response)) {
+    if (IsBackpressure(outcome.response)) {
       continue;  // admission backpressure: the daemon refused it; retryable
     }
     return outcome;  // definitive answer (ok or a non-retryable error)

@@ -13,12 +13,12 @@
 //     definitively did NOT apply the request, so re-sending any verb is
 //     safe;
 //   * a response-read timeout (ReadFrame's Unavailable) — but ONLY for
-//     idempotent verbs (PING / COUNT / STATS / MINE). The daemon is alive
-//     and may well have applied the request before answering slowly, so a
-//     timed-out INSERT must NOT be re-sent: the daemon could have
-//     WAL-logged and applied it already, and a blind re-send double-counts
-//     the transactions. Timeouts on non-idempotent verbs surface as
-//     StatusCode::kIndeterminate — the at-most-once contract
+//     verbs the table in service/verbs.h marks idempotent. The daemon is
+//     alive and may well have applied the request before answering
+//     slowly, so a timed-out INSERT must NOT be re-sent: the daemon could
+//     have WAL-logged and applied it already, and a blind re-send
+//     double-counts the transactions. Timeouts on non-idempotent verbs
+//     surface as StatusCode::kIndeterminate — the at-most-once contract
 //     (docs/SERVICE.md § "Client retries"): the caller must reconcile
 //     (e.g. COUNT a sentinel) before re-sending.
 //
@@ -32,6 +32,7 @@
 #include <string>
 
 #include "obs/json.h"
+#include "service/verbs.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -50,12 +51,6 @@ struct RetryOptions {
   /// Seed of the deterministic jitter sequence.
   uint64_t jitter_seed = 1;
 };
-
-/// True when `verb` may be blindly re-sent after a response timeout
-/// (applying it twice is indistinguishable from applying it once).
-/// PING / COUNT / STATS / MINE qualify; INSERT and anything unknown do
-/// not — the conservative default for new verbs is at-most-once.
-bool IsIdempotentVerb(const std::string& verb);
 
 /// The backoff before retry attempt `attempt` (>= 1): exponential base
 /// with deterministic jitter, clamped so base + jitter never exceeds

@@ -7,39 +7,6 @@
 
 namespace bbsmine::service {
 
-const char* RecordedVerbName(RecordedVerb verb) {
-  switch (verb) {
-    case RecordedVerb::kPing:
-      return "PING";
-    case RecordedVerb::kCount:
-      return "COUNT";
-    case RecordedVerb::kInsert:
-      return "INSERT";
-    case RecordedVerb::kMine:
-      return "MINE";
-    case RecordedVerb::kStats:
-      return "STATS";
-    case RecordedVerb::kCheckpoint:
-      return "CHECKPOINT";
-    case RecordedVerb::kDump:
-      return "DUMP";
-    case RecordedVerb::kUnknown:
-      break;
-  }
-  return "UNKNOWN";
-}
-
-RecordedVerb RecordedVerbFromString(const std::string& verb) {
-  if (verb == "PING") return RecordedVerb::kPing;
-  if (verb == "COUNT") return RecordedVerb::kCount;
-  if (verb == "INSERT") return RecordedVerb::kInsert;
-  if (verb == "MINE") return RecordedVerb::kMine;
-  if (verb == "STATS") return RecordedVerb::kStats;
-  if (verb == "CHECKPOINT") return RecordedVerb::kCheckpoint;
-  if (verb == "DUMP") return RecordedVerb::kDump;
-  return RecordedVerb::kUnknown;
-}
-
 FlightRing::FlightRing(size_t capacity)
     : slots_(std::max<size_t>(1, capacity)) {}
 
@@ -84,8 +51,7 @@ std::vector<FlightEvent> FlightRing::Read() const {
     event.queue_wait_us = slot.queue_wait_us.load(std::memory_order_relaxed);
     event.epoch = slot.epoch.load(std::memory_order_relaxed);
     event.batch_size = slot.batch_size.load(std::memory_order_relaxed);
-    event.verb = static_cast<RecordedVerb>(
-        slot.verb.load(std::memory_order_relaxed));
+    event.verb = static_cast<Verb>(slot.verb.load(std::memory_order_relaxed));
     event.ok = slot.ok.load(std::memory_order_relaxed) != 0;
     for (size_t i = 0; i < FlightEvent::kTraceIdBytes; ++i) {
       event.trace_id[i] = slot.trace_id[i].load(std::memory_order_relaxed);
@@ -167,7 +133,7 @@ obs::JsonValue FlightRecorder::DumpLocked(uint64_t now_rel_us) const {
       JsonValue e = JsonValue::Object();
       e.Set("seq", JsonValue::Uint(event.seq));
       e.Set("trace_id", JsonValue::String(event.trace_id));
-      e.Set("verb", JsonValue::String(RecordedVerbName(event.verb)));
+      e.Set("verb", JsonValue::String(VerbName(event.verb)));
       e.Set("start_us", JsonValue::Uint(event.start_rel_us));
       e.Set("latency_us", JsonValue::Uint(event.latency_us));
       e.Set("queue_wait_us", JsonValue::Uint(event.queue_wait_us));

@@ -33,23 +33,9 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "service/verbs.h"
 
 namespace bbsmine::service {
-
-/// Verb tag of a recorded event; small enough for one atomic byte.
-enum class RecordedVerb : uint8_t {
-  kUnknown = 0,
-  kPing,
-  kCount,
-  kInsert,
-  kMine,
-  kStats,
-  kCheckpoint,
-  kDump,
-};
-
-const char* RecordedVerbName(RecordedVerb verb);
-RecordedVerb RecordedVerbFromString(const std::string& verb);
 
 /// One request's footprint in the ring. Plain-value view used on both
 /// sides of the seqlock (the writer fills one, the reader extracts one).
@@ -62,7 +48,7 @@ struct FlightEvent {
   uint64_t queue_wait_us = 0;  ///< COUNT admission wait (0 otherwise)
   uint64_t epoch = 0;          ///< snapshot epoch the answer saw (if any)
   uint32_t batch_size = 0;     ///< COUNT batch fusion width (0 otherwise)
-  RecordedVerb verb = RecordedVerb::kUnknown;
+  Verb verb = Verb::kUnknown;
   bool ok = false;
   char trace_id[kTraceIdBytes] = {};  ///< NUL-terminated, maybe truncated
 };

@@ -1,9 +1,22 @@
 #include "service/metrics.h"
 
 #include <algorithm>
+#include <cctype>
 #include <utility>
 
 namespace bbsmine::service {
+
+namespace {
+
+std::string LowerName(const VerbInfo& info) {
+  std::string name = info.name;
+  for (char& c : name) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return name;
+}
+
+}  // namespace
 
 size_t ServiceMetrics::AddCounter(std::string name) {
   size_t slot = num_scalars_++;
@@ -31,15 +44,11 @@ ServiceMetrics::ServiceMetrics(const WindowOptions& windows)
   window_options_.slots = ring_.size();
 
   requests_total = AddCounter("counters.requests_total");
-  requests_ping = AddCounter("counters.requests_ping");
-  requests_count = AddCounter("counters.requests_count");
-  requests_insert = AddCounter("counters.requests_insert");
-  requests_mine = AddCounter("counters.requests_mine");
-  requests_stats = AddCounter("counters.requests_stats");
-  requests_checkpoint = AddCounter("counters.requests_checkpoint");
-  requests_dump = AddCounter("counters.requests_dump");
-  requests_shardinfo = AddCounter("counters.requests_shardinfo");
-  requests_promote = AddCounter("counters.requests_promote");
+  for (const VerbInfo& info : AllVerbs()) {
+    if (info.streaming) continue;
+    requests_[Index(info.verb)] =
+        AddCounter("counters.requests_" + LowerName(info));
+  }
   errors = AddCounter("counters.errors");
   rejected_backpressure = AddCounter("counters.rejected_backpressure");
   batches = AddCounter("counters.batches");
@@ -56,15 +65,11 @@ ServiceMetrics::ServiceMetrics(const WindowOptions& windows)
   queue_depth = AddGauge("gauges.queue_depth");
   batch_size_peak = AddGauge("gauges.batch_size_peak");
   active_connections = AddGauge("gauges.active_connections");
-  latency_ping = AddHistogram("latency_us.ping");
-  latency_count = AddHistogram("latency_us.count");
-  latency_insert = AddHistogram("latency_us.insert");
-  latency_mine = AddHistogram("latency_us.mine");
-  latency_stats = AddHistogram("latency_us.stats");
-  latency_checkpoint = AddHistogram("latency_us.checkpoint");
-  latency_dump = AddHistogram("latency_us.dump");
-  latency_shardinfo = AddHistogram("latency_us.shardinfo");
-  latency_promote = AddHistogram("latency_us.promote");
+  for (const VerbInfo& info : AllVerbs()) {
+    if (info.streaming) continue;
+    latency_[Index(info.verb)] =
+        AddHistogram("latency_us." + LowerName(info));
+  }
   batch_size_hist = AddHistogram("batch.size");
   fanout_latency = AddHistogram("cluster.fanout_us");
 

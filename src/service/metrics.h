@@ -38,6 +38,7 @@
 #ifndef BBSMINE_SERVICE_METRICS_H_
 #define BBSMINE_SERVICE_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -48,6 +49,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "service/verbs.h"
 
 namespace bbsmine::service {
 
@@ -79,15 +81,6 @@ class ServiceMetrics {
 
   // Counter slots (section "counters").
   size_t requests_total;         ///< every frame handled, any verb
-  size_t requests_ping;
-  size_t requests_count;
-  size_t requests_insert;
-  size_t requests_mine;
-  size_t requests_stats;
-  size_t requests_checkpoint;
-  size_t requests_dump;          ///< flight-recorder DUMP verb
-  size_t requests_shardinfo;     ///< cluster SHARDINFO verb
-  size_t requests_promote;       ///< replication PROMOTE verb
   size_t errors;                 ///< requests answered with ok=false
   size_t rejected_backpressure;  ///< COUNTs bounced by the admission queue
   size_t batches;                ///< scheduler batches executed
@@ -113,17 +106,15 @@ class ServiceMetrics {
   size_t active_connections;  ///< most simultaneous client connections
 
   // Histogram slots (log2-bucketed; sections "latency_us" / "batch").
-  size_t latency_ping;
-  size_t latency_count;
-  size_t latency_insert;
-  size_t latency_mine;
-  size_t latency_stats;
-  size_t latency_checkpoint;
-  size_t latency_dump;
-  size_t latency_shardinfo;
-  size_t latency_promote;
   size_t batch_size_hist;
   size_t fanout_latency;  ///< "cluster.fanout_us": whole fan-out round trips
+
+  /// Per-verb slots: counter "counters.requests_<verb>" and histogram
+  /// "latency_us.<verb>" (lower-case verb name) for every request/response
+  /// verb of the table in service/verbs.h. Streaming verbs and kUnknown
+  /// have none; they must not be passed here.
+  size_t requests(Verb verb) const { return requests_[Index(verb)]; }
+  size_t latency(Verb verb) const { return latency_[Index(verb)]; }
 
   void Inc(size_t slot, uint64_t n = 1) {
     scalars_[slot].fetch_add(n, std::memory_order_relaxed);
@@ -189,11 +180,15 @@ class ServiceMetrics {
     Cumulative cum;
   };
 
+  static size_t Index(Verb verb) { return static_cast<size_t>(verb); }
+
   size_t AddCounter(std::string name);
   size_t AddGauge(std::string name);
   size_t AddHistogram(std::string name);
   Cumulative CaptureCumulative() const;
 
+  std::array<size_t, kNumVerbs> requests_{};
+  std::array<size_t, kNumVerbs> latency_{};
   std::vector<Meta> metas_;
   size_t num_scalars_ = 0;
   size_t num_hists_ = 0;

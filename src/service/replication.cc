@@ -114,12 +114,12 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
                               const std::atomic<bool>& stop) {
   Status armed = FaultInjector::Hit("repl.handshake.primary");
   if (!armed.ok()) {
-    (void)WriteFrame(fd, ErrorResponse("WALSTREAM", armed));
+    (void)WriteFrame(fd, ErrorResponse(Verb::kWalStream, armed));
     return;
   }
   if (!IsUint(handshake, "watermark")) {
     (void)WriteFrame(
-        fd, ErrorResponse("WALSTREAM",
+        fd, ErrorResponse(Verb::kWalStream,
                           Status::InvalidArgument(
                               "WALSTREAM requires a numeric \"watermark\"")));
     return;
@@ -129,7 +129,7 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
   if (watermark > applied) {
     (void)WriteFrame(
         fd, ErrorResponse(
-                "WALSTREAM",
+                Verb::kWalStream,
                 Status::InvalidArgument(
                     "follower watermark " + std::to_string(watermark) +
                     " is ahead of the primary (" + std::to_string(applied) +
@@ -148,7 +148,7 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
                                           std::memory_order_relaxed)) {
     (void)WriteFrame(
         fd, ErrorResponse(
-                "WALSTREAM",
+                Verb::kWalStream,
                 Status::Unavailable(
                     "a follower is already attached; bbsmined streams to "
                     "exactly one follower per primary")));
@@ -159,7 +159,7 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
   durability_->EnableReplicationRetention();
   NoteAck(watermark);
 
-  obs::JsonValue accepted = OkResponse("WALSTREAM");
+  obs::JsonValue accepted = OkResponse(Verb::kWalStream);
   accepted.Set("watermark", obs::JsonValue::Uint(watermark));
   accepted.Set("end_txn", obs::JsonValue::Uint(applied));
   if (!WriteFrame(fd, accepted).ok()) {
@@ -178,13 +178,13 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
         durability_->wal_path(), cursor, options_.chunk_bytes,
         &stream_cursor);
     if (!chunk.ok()) {
-      (void)WriteFrame(fd, ErrorResponse("WALSTREAM", chunk.status()));
+      (void)WriteFrame(fd, ErrorResponse(Verb::kWalStream, chunk.status()));
       break;
     }
     lag_bytes_.store(chunk->bytes_remaining - chunk->data.size(),
                      std::memory_order_relaxed);
     if (chunk->records > 0) {
-      obs::JsonValue frame = OkResponse("WALSTREAM");
+      obs::JsonValue frame = OkResponse(Verb::kWalStream);
       frame.Set("kind", obs::JsonValue::String("records"));
       frame.Set("start_txn", obs::JsonValue::Uint(cursor));
       frame.Set("transactions", obs::JsonValue::Uint(chunk->transactions));
@@ -197,7 +197,7 @@ void ReplicationSource::Serve(const obs::JsonValue& handshake, int fd,
       bytes_shipped_.fetch_add(chunk->data.size(), std::memory_order_relaxed);
       if (!DrainAcks(fd, 0)) break;
     } else {
-      obs::JsonValue frame = OkResponse("WALSTREAM");
+      obs::JsonValue frame = OkResponse(Verb::kWalStream);
       frame.Set("kind", obs::JsonValue::String("heartbeat"));
       frame.Set("end_txn", obs::JsonValue::Uint(chunk->log_end_txn));
       if (!WriteFrame(fd, frame).ok()) break;
@@ -269,8 +269,7 @@ Status ReplicationFollower::RunOnce() {
   if (!fd.ok()) return fd.status();
   BBSMINE_RETURN_IF_ERROR(FaultInjector::Hit("repl.handshake.follower"));
 
-  obs::JsonValue handshake = obs::JsonValue::Object();
-  handshake.Set("verb", obs::JsonValue::String("WALSTREAM"));
+  obs::JsonValue handshake = VerbRequest(Verb::kWalStream);
   handshake.Set("watermark", obs::JsonValue::Uint(watermark_()));
   BBSMINE_RETURN_IF_ERROR(WriteFrame(fd->get(), handshake));
 

@@ -96,15 +96,19 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
   metrics_.Inc(metrics_.requests_total);
   const uint64_t start_rel_us = NowRelMicros();
   metrics_.MaybeRotateWindows(start_rel_us);
-  if (request.kind() != obs::JsonValue::Kind::kObject ||
-      !request.Has("verb") ||
-      request.at("verb").kind() != obs::JsonValue::Kind::kString) {
+  const Verb verb = VerbOf(request);
+  if (verb == Verb::kUnknown) {
+    metrics_.Inc(metrics_.errors);
+    return UnknownVerbResponse(request);
+  }
+  if (InfoOf(verb).streaming) {
+    // Reached only when the transport did not upgrade the connection —
+    // i.e. this daemon has no replication source to stream from.
     metrics_.Inc(metrics_.errors);
     return ErrorResponse(
-        "", Status::InvalidArgument("request must be an object with a "
-                                    "string \"verb\" member"));
+        verb, Status::InvalidArgument(
+                  "WALSTREAM requires a durable primary (--durable-dir)"));
   }
-  const std::string& verb = request.at("verb").AsString();
 
   // Request identity: honor a client-supplied trace_id; otherwise mint one
   // when some sink (tracer, slow log, flight ring) will use it.
@@ -131,66 +135,51 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
   CountResult count_result;
   bool counted = false;
   obs::JsonValue response;
-  size_t latency_slot;
-  if (verb == "PING") {
-    latency_slot = metrics_.latency_ping;
-    metrics_.Inc(metrics_.requests_ping);
-    response = HandlePing();
-  } else if (verb == "COUNT") {
-    latency_slot = metrics_.latency_count;
-    metrics_.Inc(metrics_.requests_count);
-    CountObs count_obs;
-    count_obs.trace_id = trace_id;
-    count_obs.sampled = sampled;
-    response = HandleCount(request, count_obs, &count_result, &counted);
-  } else if (verb == "INSERT") {
-    latency_slot = metrics_.latency_insert;
-    metrics_.Inc(metrics_.requests_insert);
-    response = HandleInsert(request);
-  } else if (verb == "MINE") {
-    latency_slot = metrics_.latency_mine;
-    metrics_.Inc(metrics_.requests_mine);
-    response = HandleMine(request);
-  } else if (verb == "STATS") {
-    latency_slot = metrics_.latency_stats;
-    metrics_.Inc(metrics_.requests_stats);
-    response = HandleStats();
-  } else if (verb == "CHECKPOINT") {
-    latency_slot = metrics_.latency_checkpoint;
-    metrics_.Inc(metrics_.requests_checkpoint);
-    response = HandleCheckpoint();
-  } else if (verb == "DUMP") {
-    latency_slot = metrics_.latency_dump;
-    metrics_.Inc(metrics_.requests_dump);
-    response = HandleDump();
-  } else if (verb == "SHARDINFO") {
-    latency_slot = metrics_.latency_shardinfo;
-    metrics_.Inc(metrics_.requests_shardinfo);
-    response = HandleShardInfo();
-  } else if (verb == "PROMOTE") {
-    latency_slot = metrics_.latency_promote;
-    metrics_.Inc(metrics_.requests_promote);
-    response = HandlePromote(request);
-  } else if (verb == "WALSTREAM") {
-    // Reached only when the transport did not upgrade the connection —
-    // i.e. this daemon has no replication source to stream from.
-    metrics_.Inc(metrics_.errors);
-    return ErrorResponse(
-        verb, Status::InvalidArgument(
-                  "WALSTREAM requires a durable primary (--durable-dir)"));
-  } else {
-    metrics_.Inc(metrics_.errors);
-    return ErrorResponse(
-        verb, Status::InvalidArgument("unknown verb: " + verb));
+  metrics_.Inc(metrics_.requests(verb));
+  switch (verb) {
+    case Verb::kPing:
+      response = HandlePing();
+      break;
+    case Verb::kCount: {
+      CountObs count_obs;
+      count_obs.trace_id = trace_id;
+      count_obs.sampled = sampled;
+      response = HandleCount(request, count_obs, &count_result, &counted);
+      break;
+    }
+    case Verb::kInsert:
+      response = HandleInsert(request);
+      break;
+    case Verb::kMine:
+      response = HandleMine(request);
+      break;
+    case Verb::kStats:
+      response = HandleStats();
+      break;
+    case Verb::kCheckpoint:
+      response = HandleCheckpoint();
+      break;
+    case Verb::kDump:
+      response = HandleDump();
+      break;
+    case Verb::kShardInfo:
+      response = HandleShardInfo();
+      break;
+    case Verb::kPromote:
+      response = HandlePromote(request);
+      break;
+    case Verb::kUnknown:
+    case Verb::kWalStream:
+      break;  // answered above
   }
   const uint64_t latency_us = MicrosSince(begin);
-  metrics_.ObserveLog2(latency_slot, latency_us);
+  metrics_.ObserveLog2(metrics_.latency(verb), latency_us);
   const bool ok = response.at("ok").AsBool();
   if (!ok) metrics_.Inc(metrics_.errors);
 
   if (sampled && tracer->enabled(obs::kTraceRequest)) {
     std::string args = "\"trace_id\": \"" + obs::JsonEscape(trace_id) +
-                       "\", \"verb\": \"" + verb + "\"";
+                       "\", \"verb\": \"" + VerbName(verb) + "\"";
     if (counted) {
       args += ", \"batch\": " + std::to_string(count_result.batch_id);
     }
@@ -201,7 +190,7 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
   // Promotions always land in the slow log regardless of latency:
   // failovers are rare, operationally significant, and exactly what the
   // log's forensic tail exists for.
-  const bool promotion_event = ok && verb == "PROMOTE";
+  const bool promotion_event = ok && verb == Verb::kPromote;
   if (options_.slow_log != nullptr &&
       (latency_us >= options_.slow_query_us || promotion_event)) {
     if (latency_us >= options_.slow_query_us) {
@@ -211,7 +200,7 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
     SlowQueryRecord record;
     record.at_rel_us = start_rel_us;
     record.trace_id = trace_id;
-    record.verb = verb;
+    record.verb = VerbName(verb);
     record.latency_us = latency_us;
     record.queue_wait_us = counted ? count_result.queue_wait_us : 0;
     record.batch_size = counted ? count_result.batch_size : 0;
@@ -233,7 +222,7 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
     event.queue_wait_us = counted ? count_result.queue_wait_us : 0;
     event.epoch = counted ? count_result.epoch : EpochOf(response);
     event.batch_size = counted ? count_result.batch_size : 0;
-    event.verb = RecordedVerbFromString(verb);
+    event.verb = verb;
     event.ok = ok;
     std::strncpy(event.trace_id, trace_id.c_str(),
                  FlightEvent::kTraceIdBytes - 1);
@@ -243,7 +232,7 @@ obs::JsonValue BbsService::Handle(const obs::JsonValue& request,
 }
 
 obs::JsonValue BbsService::HandlePing() {
-  obs::JsonValue response = OkResponse("PING");
+  obs::JsonValue response = OkResponse(Verb::kPing);
   response.Set("epoch", obs::JsonValue::Uint(index_->epoch()));
   return response;
 }
@@ -252,11 +241,11 @@ obs::JsonValue BbsService::HandleCount(const obs::JsonValue& request,
                                        const CountObs& count_obs,
                                        CountResult* out, bool* counted) {
   Result<Itemset> items = ItemsFromJson(request.at("items"));
-  if (!items.ok()) return ErrorResponse("COUNT", items.status());
+  if (!items.ok()) return ErrorResponse(Verb::kCount, items.status());
   Status status = scheduler_.Count(*items, count_obs, out);
-  if (!status.ok()) return ErrorResponse("COUNT", status);
+  if (!status.ok()) return ErrorResponse(Verb::kCount, status);
   *counted = true;
-  obs::JsonValue response = OkResponse("COUNT");
+  obs::JsonValue response = OkResponse(Verb::kCount);
   response.Set("items", ItemsToJson(*items));
   response.Set("count", obs::JsonValue::Uint(out->count));
   response.Set("epoch", obs::JsonValue::Uint(out->epoch));
@@ -269,43 +258,43 @@ obs::JsonValue BbsService::HandleCount(const obs::JsonValue& request,
 
 obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
   if (draining_.load(std::memory_order_relaxed)) {
-    return ErrorResponse("INSERT",
+    return ErrorResponse(Verb::kInsert,
                          Status::Unavailable("service is draining"));
   }
   if (role() == ServiceRole::kFollower) {
     // A follower's writes arrive only over the replication stream; a
     // client INSERT here would fork its history from the primary's.
     return ErrorResponse(
-        "INSERT", Status::InvalidArgument(
-                      "this daemon is a read-only follower (of " +
-                      (options_.follower != nullptr
-                           ? options_.follower->primary_endpoint()
-                           : std::string("a primary")) +
-                      "); it accepts INSERT only after PROMOTE"));
+        Verb::kInsert, Status::InvalidArgument(
+                           "this daemon is a read-only follower (of " +
+                           (options_.follower != nullptr
+                                ? options_.follower->primary_endpoint()
+                                : std::string("a primary")) +
+                           "); it accepts INSERT only after PROMOTE"));
   }
   // Accept either one transaction ("items") or several ("transactions").
   std::vector<Itemset> batch;
   if (request.Has("transactions")) {
     const obs::JsonValue& txns = request.at("transactions");
     if (txns.kind() != obs::JsonValue::Kind::kArray) {
-      return ErrorResponse("INSERT", Status::InvalidArgument(
-                                         "\"transactions\" must be an array "
-                                         "of item arrays"));
+      return ErrorResponse(Verb::kInsert,
+                           Status::InvalidArgument("\"transactions\" must be "
+                                                   "an array of item arrays"));
     }
     batch.reserve(txns.size());
     for (size_t i = 0; i < txns.size(); ++i) {
       Result<Itemset> items = ItemsFromJson(txns.at(i));
-      if (!items.ok()) return ErrorResponse("INSERT", items.status());
+      if (!items.ok()) return ErrorResponse(Verb::kInsert, items.status());
       batch.push_back(std::move(*items));
     }
   } else {
     Result<Itemset> items = ItemsFromJson(request.at("items"));
-    if (!items.ok()) return ErrorResponse("INSERT", items.status());
+    if (!items.ok()) return ErrorResponse(Verb::kInsert, items.status());
     batch.push_back(std::move(*items));
   }
   if (batch.empty()) {
     return ErrorResponse(
-        "INSERT", Status::InvalidArgument("no transactions to insert"));
+        Verb::kInsert, Status::InvalidArgument("no transactions to insert"));
   }
   uint64_t epoch;
   uint64_t transactions;
@@ -317,11 +306,11 @@ obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
       // WAL truncated back to its pre-batch length, so nothing is applied
       // and the client may safely retry.
       Status logged = durability_->LogInsert(batch);
-      if (!logged.ok()) return ErrorResponse("INSERT", logged);
+      if (!logged.ok()) return ErrorResponse(Verb::kInsert, logged);
     }
     // One publication for the whole batch: readers see all of it or none.
     Status inserted = index_->InsertBatch(batch);
-    if (!inserted.ok()) return ErrorResponse("INSERT", inserted);
+    if (!inserted.ok()) return ErrorResponse(Verb::kInsert, inserted);
     if (db_ != nullptr) {
       for (const Itemset& items : batch) db_->Append(items);
     }
@@ -346,7 +335,7 @@ obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
     }
   }
   metrics_.Inc(metrics_.inserted_transactions, batch.size());
-  obs::JsonValue response = OkResponse("INSERT");
+  obs::JsonValue response = OkResponse(Verb::kInsert);
   response.Set("inserted", obs::JsonValue::Uint(batch.size()));
   response.Set("epoch", obs::JsonValue::Uint(epoch));
   response.Set("transactions", obs::JsonValue::Uint(transactions));
@@ -366,30 +355,16 @@ obs::JsonValue BbsService::HandleInsert(const obs::JsonValue& request) {
 obs::JsonValue BbsService::HandleMine(const obs::JsonValue& request) {
   if (db_ == nullptr) {
     return ErrorResponse(
-        "MINE", Status::InvalidArgument(
-                    "MINE requires the daemon to be started with --db"));
+        Verb::kMine, Status::InvalidArgument(
+                         "MINE requires the daemon to be started with --db"));
   }
   if (request.Has("candidates")) return HandleMineCandidates(request);
+  Result<MineArgs> args = MineArgsFromJson(
+      request, MineArgs{options_.default_min_support, options_.mine_top});
+  if (!args.ok()) return ErrorResponse(Verb::kMine, args.status());
   EclatConfig config;
-  config.min_support = options_.default_min_support;
-  if (request.Has("minsup")) {
-    const obs::JsonValue& minsup = request.at("minsup");
-    if (!minsup.is_number() || minsup.AsDouble() <= 0 ||
-        minsup.AsDouble() > 1) {
-      return ErrorResponse("MINE", Status::InvalidArgument(
-                                       "\"minsup\" must be in (0, 1]"));
-    }
-    config.min_support = minsup.AsDouble();
-  }
-  size_t top = options_.mine_top;
-  if (request.Has("top")) {
-    const obs::JsonValue& requested = request.at("top");
-    if (!requested.is_number() || requested.AsInt() < 1) {
-      return ErrorResponse(
-          "MINE", Status::InvalidArgument("\"top\" must be a positive int"));
-    }
-    top = static_cast<size_t>(requested.AsUint());
-  }
+  config.min_support = args->min_support;
+  const size_t top = args->top;
   // No lock: the published prefix is immutable, so INSERTs keep appending
   // past it while this pass runs.
   const DatabaseView view = db_->Prefix();
@@ -408,7 +383,7 @@ obs::JsonValue BbsService::HandleMine(const obs::JsonValue& request) {
     entry.Set("support", obs::JsonValue::Uint(pattern.support));
     patterns.Append(std::move(entry));
   }
-  obs::JsonValue response = OkResponse("MINE");
+  obs::JsonValue response = OkResponse(Verb::kMine);
   response.Set("min_support", obs::JsonValue::Double(config.min_support));
   response.Set("transactions", obs::JsonValue::Uint(view.size()));
   response.Set("total_frequent", obs::JsonValue::Uint(total_frequent));
@@ -423,15 +398,15 @@ obs::JsonValue BbsService::HandleMineCandidates(const obs::JsonValue& request) {
   // merges them with round-1 supports into a globally bit-identical answer.
   const obs::JsonValue& array = request.at("candidates");
   if (array.kind() != obs::JsonValue::Kind::kArray) {
-    return ErrorResponse("MINE", Status::InvalidArgument(
-                                     "\"candidates\" must be an array of "
-                                     "item arrays"));
+    return ErrorResponse(Verb::kMine, Status::InvalidArgument(
+                                          "\"candidates\" must be an array of "
+                                          "item arrays"));
   }
   std::vector<Itemset> candidates;
   candidates.reserve(array.size());
   for (size_t i = 0; i < array.size(); ++i) {
     Result<Itemset> items = ItemsFromJson(array.at(i));
-    if (!items.ok()) return ErrorResponse("MINE", items.status());
+    if (!items.ok()) return ErrorResponse(Verb::kMine, items.status());
     candidates.push_back(std::move(*items));
   }
   // The scan reads an immutable prefix without the write lock: "at_txn"
@@ -442,17 +417,17 @@ obs::JsonValue BbsService::HandleMineCandidates(const obs::JsonValue& request) {
   if (request.Has("at_txn")) {
     const obs::JsonValue& requested = request.at("at_txn");
     if (!requested.is_number() || requested.AsInt() < 0) {
-      return ErrorResponse("MINE", Status::InvalidArgument(
-                                       "\"at_txn\" must be a non-negative "
-                                       "int"));
+      return ErrorResponse(Verb::kMine, Status::InvalidArgument(
+                                            "\"at_txn\" must be a non-negative "
+                                            "int"));
     }
     at_txn = static_cast<size_t>(requested.AsUint());
     if (at_txn > published) {
       return ErrorResponse(
-          "MINE", Status::InvalidArgument(
-                      "\"at_txn\" " + std::to_string(at_txn) +
-                      " is past the " + std::to_string(published) +
-                      " transactions this shard holds"));
+          Verb::kMine, Status::InvalidArgument(
+                           "\"at_txn\" " + std::to_string(at_txn) +
+                           " is past the " + std::to_string(published) +
+                           " transactions this shard holds"));
     }
   }
   const DatabaseView view = db_->Prefix(at_txn);
@@ -466,7 +441,7 @@ obs::JsonValue BbsService::HandleMineCandidates(const obs::JsonValue& request) {
   for (uint64_t support : supports) {
     supports_json.Append(obs::JsonValue::Uint(support));
   }
-  obs::JsonValue response = OkResponse("MINE");
+  obs::JsonValue response = OkResponse(Verb::kMine);
   response.Set("transactions", obs::JsonValue::Uint(at_txn));
   response.Set("candidates", obs::JsonValue::Uint(candidates.size()));
   response.Set("supports", std::move(supports_json));
@@ -498,7 +473,7 @@ obs::JsonValue BbsService::HandleShardInfo() {
   config_json.Set("hash_kind",
                   obs::JsonValue::Uint(static_cast<uint64_t>(config.hash_kind)));
   config_json.Set("seed", obs::JsonValue::Uint(config.seed));
-  obs::JsonValue response = OkResponse("SHARDINFO");
+  obs::JsonValue response = OkResponse(Verb::kShardInfo);
   response.Set("epoch", obs::JsonValue::Uint(snap.epoch()));
   response.Set("transactions", obs::JsonValue::Uint(snap.num_transactions()));
   response.Set("segments", obs::JsonValue::Uint(snap.num_segments()));
@@ -514,7 +489,7 @@ obs::JsonValue BbsService::HandleShardInfo() {
 obs::JsonValue BbsService::HandleCheckpoint() {
   if (durability_ == nullptr) {
     return ErrorResponse(
-        "CHECKPOINT",
+        Verb::kCheckpoint,
         Status::InvalidArgument(
             "CHECKPOINT requires the daemon to be started with "
             "--durable-dir"));
@@ -527,9 +502,11 @@ obs::JsonValue BbsService::HandleCheckpoint() {
     epoch = snap.epoch();
     transactions = snap.num_transactions();
     Status checkpointed = durability_->Checkpoint(snap, db_);
-    if (!checkpointed.ok()) return ErrorResponse("CHECKPOINT", checkpointed);
+    if (!checkpointed.ok()) {
+      return ErrorResponse(Verb::kCheckpoint, checkpointed);
+    }
   }
-  obs::JsonValue response = OkResponse("CHECKPOINT");
+  obs::JsonValue response = OkResponse(Verb::kCheckpoint);
   response.Set("epoch", obs::JsonValue::Uint(epoch));
   response.Set("transactions", obs::JsonValue::Uint(transactions));
   response.Set("checkpoints", obs::JsonValue::Uint(durability_->checkpoints()));
@@ -539,7 +516,7 @@ obs::JsonValue BbsService::HandleCheckpoint() {
 obs::JsonValue BbsService::HandlePromote(const obs::JsonValue& request) {
   if (!request.Has("term") || !request.at("term").is_number()) {
     return ErrorResponse(
-        "PROMOTE",
+        Verb::kPromote,
         Status::InvalidArgument("PROMOTE requires a numeric \"term\""));
   }
   const uint64_t new_term = request.at("term").AsUint();
@@ -552,7 +529,7 @@ obs::JsonValue BbsService::HandlePromote(const obs::JsonValue& request) {
       // Fencing: a router working from a newer shard map has already moved
       // the shard past this term; whoever sent this is stale.
       return ErrorResponse(
-          "PROMOTE",
+          Verb::kPromote,
           Status::InvalidArgument(
               "stale term " + std::to_string(new_term) +
               " (this node is at term " + std::to_string(current) + ")"));
@@ -561,7 +538,7 @@ obs::JsonValue BbsService::HandlePromote(const obs::JsonValue& request) {
     // after a dropped response must not fail the failover).
     if (!options_.term_file.empty()) {
       Status persisted = PersistTerm(options_.term_file, new_term);
-      if (!persisted.ok()) return ErrorResponse("PROMOTE", persisted);
+      if (!persisted.ok()) return ErrorResponse(Verb::kPromote, persisted);
     }
     term_.store(new_term, std::memory_order_relaxed);
     promoted = role() != ServiceRole::kPrimary;
@@ -578,7 +555,7 @@ obs::JsonValue BbsService::HandlePromote(const obs::JsonValue& request) {
                  static_cast<unsigned long long>(new_term),
                  static_cast<unsigned long long>(transactions));
   }
-  obs::JsonValue response = OkResponse("PROMOTE");
+  obs::JsonValue response = OkResponse(Verb::kPromote);
   response.Set("role", obs::JsonValue::String(ServiceRoleName(role())));
   response.Set("term", obs::JsonValue::Uint(term()));
   response.Set("transactions", obs::JsonValue::Uint(transactions));
@@ -586,8 +563,8 @@ obs::JsonValue BbsService::HandlePromote(const obs::JsonValue& request) {
   return response;
 }
 
-bool BbsService::IsStreamingVerb(const std::string& verb) const {
-  return verb == "WALSTREAM" && options_.replication != nullptr &&
+bool BbsService::IsStreamingVerb(Verb verb) const {
+  return InfoOf(verb).streaming && options_.replication != nullptr &&
          durability_ != nullptr;
 }
 
@@ -627,7 +604,7 @@ Status BbsService::ApplyReplicated(
 }
 
 obs::JsonValue BbsService::HandleStats() {
-  obs::JsonValue response = OkResponse("STATS");
+  obs::JsonValue response = OkResponse(Verb::kStats);
   response.Set("report", BuildStatsReport());
   return response;
 }
@@ -635,11 +612,11 @@ obs::JsonValue BbsService::HandleStats() {
 obs::JsonValue BbsService::HandleDump() {
   if (options_.flight_recorder == nullptr) {
     return ErrorResponse(
-        "DUMP", Status::InvalidArgument(
-                    "DUMP requires the daemon's flight recorder (started "
-                    "with --flight-recorder-size > 0)"));
+        Verb::kDump, Status::InvalidArgument(
+                         "DUMP requires the daemon's flight recorder (started "
+                         "with --flight-recorder-size > 0)"));
   }
-  obs::JsonValue response = OkResponse("DUMP");
+  obs::JsonValue response = OkResponse(Verb::kDump);
   response.Set("flight",
                options_.flight_recorder->DumpJson(NowRelMicros()));
   return response;
@@ -810,10 +787,7 @@ void SocketServer::ServeConnection(OwnedFd fd, Connection* slot,
       }
       break;  // clean disconnect or broken transport either way
     }
-    if (request->kind() == obs::JsonValue::Kind::kObject &&
-        request->Has("verb") &&
-        request->at("verb").kind() == obs::JsonValue::Kind::kString &&
-        service_->IsStreamingVerb(request->at("verb").AsString())) {
+    if (service_->IsStreamingVerb(VerbOf(*request))) {
       // The stream owns the connection from here: it writes its own
       // frames until stop/disconnect, and the socket closes afterwards
       // (a stream cannot fall back to request/response).

@@ -45,6 +45,7 @@
 #include "service/scheduler.h"
 #include "service/slow_log.h"
 #include "service/snapshot.h"
+#include "service/verbs.h"
 #include "storage/transaction_db.h"
 #include "util/socket.h"
 
@@ -156,9 +157,10 @@ class RequestHandler {
   virtual void AttachConnectionCounter(const std::atomic<uint64_t>*) {}
 
   /// True when `verb` upgrades the connection to a long-lived stream
-  /// (currently only WALSTREAM on a replicating primary). The transport
-  /// then calls ServeStream instead of Handle and closes afterwards.
-  virtual bool IsStreamingVerb(const std::string&) const { return false; }
+  /// (a streaming verb of service/verbs.h that this handler can serve).
+  /// The transport then calls ServeStream instead of Handle and closes
+  /// afterwards.
+  virtual bool IsStreamingVerb(Verb) const { return false; }
 
   /// Serves a streaming verb on the connection's thread until `stop`, the
   /// peer disconnecting, or an error. Only called for verbs IsStreamingVerb
@@ -210,7 +212,8 @@ class BbsService : public RequestHandler {
   /// slow-log records, and flight-recorder events).
   uint64_t NowRelMicros() const;
 
-  bool IsStreamingVerb(const std::string& verb) const override;
+  /// Streaming verbs need a replication source (a durable primary).
+  bool IsStreamingVerb(Verb verb) const override;
   void ServeStream(const obs::JsonValue& request, int fd,
                    const std::atomic<bool>& stop) override;
 

@@ -1,5 +1,6 @@
 #include "service/wire.h"
 
+#include <cmath>
 #include <limits>
 
 #include "util/socket.h"
@@ -62,11 +63,78 @@ obs::JsonValue ErrorResponse(const std::string& verb, const Status& status) {
   return response;
 }
 
-obs::JsonValue OkResponse(const std::string& verb) {
+std::string ErrorCodeOf(const obs::JsonValue& response) {
+  // at() of a non-object is null, so a malformed response reads "".
+  return response.at("error").at("code").AsString();
+}
+
+bool IsBackpressure(const obs::JsonValue& response) {
+  return response.Has("ok") && !response.at("ok").AsBool() &&
+         ErrorCodeOf(response) == StatusCodeName(StatusCode::kUnavailable);
+}
+
+obs::JsonValue UnknownVerbResponse(const obs::JsonValue& request) {
+  if (request.kind() != obs::JsonValue::Kind::kObject ||
+      request.at("verb").kind() != obs::JsonValue::Kind::kString) {
+    return ErrorResponse(
+        "", Status::InvalidArgument("request must be an object with a "
+                                    "string \"verb\" member"));
+  }
+  const std::string& verb = request.at("verb").AsString();
+  return ErrorResponse(verb, Status::InvalidArgument("unknown verb: " + verb));
+}
+
+obs::JsonValue OkResponse(Verb verb) {
   obs::JsonValue response = obs::JsonValue::Object();
   response.Set("ok", obs::JsonValue::Bool(true));
-  response.Set("verb", obs::JsonValue::String(verb));
+  response.Set("verb", obs::JsonValue::String(VerbName(verb)));
   return response;
+}
+
+obs::JsonValue VerbRequest(Verb verb) {
+  obs::JsonValue request = obs::JsonValue::Object();
+  request.Set("verb", obs::JsonValue::String(VerbName(verb)));
+  return request;
+}
+
+Result<MineArgs> MineArgsFromJson(const obs::JsonValue& request,
+                                  const MineArgs& defaults) {
+  MineArgs args = defaults;
+  if (request.Has("minsup")) {
+    const obs::JsonValue& minsup = request.at("minsup");
+    // Written so that NaN fails too.
+    if (!minsup.is_number() ||
+        !(minsup.AsDouble() > 0 && minsup.AsDouble() <= 1)) {
+      return Status::InvalidArgument("\"minsup\" must be in (0, 1]");
+    }
+    args.min_support = minsup.AsDouble();
+  }
+  if (request.Has("top")) {
+    const obs::JsonValue& top = request.at("top");
+    bool whole = false;
+    switch (top.kind()) {
+      case obs::JsonValue::Kind::kInt:
+        whole = top.AsInt() >= 1;
+        break;
+      case obs::JsonValue::Kind::kUint:
+        whole = true;  // above INT64_MAX, so positive
+        break;
+      case obs::JsonValue::Kind::kDouble: {
+        // A fractional or huge value is rejected, not truncated or
+        // saturated.
+        const double d = top.AsDouble();
+        whole = d >= 1 && d <= 0x1p53 && d == std::floor(d);
+        break;
+      }
+      default:
+        break;
+    }
+    if (!whole) {
+      return Status::InvalidArgument("\"top\" must be a positive int");
+    }
+    args.top = static_cast<size_t>(top.AsUint());
+  }
+  return args;
 }
 
 Result<Itemset> ItemsFromJson(const obs::JsonValue& array) {

@@ -7,8 +7,8 @@
 //   |                | UTF-8 JSON (one document)  |
 //   +----------------+---------------------------+
 //
-// Requests are JSON objects with a "verb" member (PING, COUNT, MINE,
-// INSERT, STATS) plus verb-specific fields; responses always carry
+// Requests are JSON objects with a "verb" member (the table in
+// service/verbs.h) plus verb-specific fields; responses always carry
 // "ok": true/false, an echoed "verb", and on failure an "error" object
 // {code, message} where code is the StatusCodeName of the underlying
 // Status — so a client can distinguish retryable backpressure
@@ -24,6 +24,7 @@
 #include <string>
 
 #include "obs/json.h"
+#include "service/verbs.h"
 #include "storage/transaction.h"
 #include "util/bitvector.h"
 #include "util/status.h"
@@ -49,11 +50,42 @@ Result<obs::JsonValue> ReadFrame(int fd, int timeout_ms = -1,
                                  int payload_timeout_ms = 10'000,
                                  uint32_t max_frame_bytes = kMaxFrameBytes);
 
-/// Builds the uniform failure response for `status`.
+/// Builds the uniform failure response for `status`, echoing `verb` as
+/// the request spelled it ("" when it had none).
 obs::JsonValue ErrorResponse(const std::string& verb, const Status& status);
 
+inline obs::JsonValue ErrorResponse(Verb verb, const Status& status) {
+  return ErrorResponse(VerbName(verb), status);
+}
+
+/// The error code of a failed response ("" for an ok or malformed one).
+std::string ErrorCodeOf(const obs::JsonValue& response);
+
+/// True for a well-formed Unavailable answer: the peer shed load and did
+/// not apply the request, so re-sending any verb is safe.
+bool IsBackpressure(const obs::JsonValue& response);
+
+/// The failure response for a request VerbOf maps to kUnknown: not an
+/// object with a string "verb" member, or a verb this build lacks.
+obs::JsonValue UnknownVerbResponse(const obs::JsonValue& request);
+
 /// Builds the uniform success envelope: {"ok": true, "verb": verb}.
-obs::JsonValue OkResponse(const std::string& verb);
+obs::JsonValue OkResponse(Verb verb);
+
+/// Builds a request document carrying only its verb: {"verb": verb}.
+obs::JsonValue VerbRequest(Verb verb);
+
+/// MINE's tuning members, decoded identically by the daemon and the router.
+struct MineArgs {
+  double min_support = 0;
+  size_t top = 0;
+};
+
+/// Reads a MINE request's optional "minsup" (a number in (0, 1]) and
+/// "top" (a whole number >= 1), taking `defaults` for absent members.
+/// A fractional, non-finite or out-of-range value is InvalidArgument.
+Result<MineArgs> MineArgsFromJson(const obs::JsonValue& request,
+                                  const MineArgs& defaults);
 
 /// Reads an "items" member (JSON array of non-negative integers) into a
 /// canonical itemset.

@@ -1030,7 +1030,7 @@ class BackpressureRelay {
       const bool shed = request->at("verb").AsString() == "COUNT" &&
                         (shed_limit_ < 0 || shed_.fetch_add(1) < shed_limit_);
       JsonValue response =
-          shed ? service::ErrorResponse("COUNT",
+          shed ? service::ErrorResponse(service::Verb::kCount,
                                         Status::Unavailable("shedding load"))
                : service_->Handle(*request);
       if (!service::WriteFrame(fd, response).ok()) return;
@@ -1142,13 +1142,14 @@ TEST(RouterFanOutTest, BackoffOnOneLegDoesNotResendTheOther) {
   ASSERT_TRUE(router.Init().ok());
 
   service::ServiceMetrics& healthy = fleet.shard(1).service->metrics();
-  const uint64_t healthy_before = healthy.counter(healthy.requests_count);
+  const size_t count_slot = healthy.requests(service::Verb::kCount);
+  const uint64_t healthy_before = healthy.counter(count_slot);
   JsonValue response = router.Handle(CountRequest({1}));
   ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
   EXPECT_FALSE(response.at("degraded").AsBool());
   EXPECT_EQ(response.at("count").AsUint(),
             fleet.oracle().Handle(CountRequest({1})).at("count").AsUint());
-  EXPECT_EQ(healthy.counter(healthy.requests_count) - healthy_before, 1u);
+  EXPECT_EQ(healthy.counter(count_slot) - healthy_before, 1u);
   EXPECT_EQ(router.shards_up(), 2u);
   relay.Stop();
 }
@@ -1340,6 +1341,144 @@ TEST(RouterStatsTest, ReportsClusterSectionWithPerShardDetail) {
   const JsonValue& shard_cluster = shard_stats.at("report").at("cluster");
   EXPECT_EQ(shard_cluster.at("role").AsString(), "shard");
   EXPECT_EQ(shard_cluster.at("shards_total").AsUint(), 1u);
+}
+
+/// "section.name" for every metric in a STATS report.
+std::set<std::string> MetricNames(const JsonValue& stats_response) {
+  std::set<std::string> names;
+  const JsonValue& metrics = stats_response.at("report").at("metrics");
+  for (const std::string& section : metrics.keys()) {
+    for (const std::string& name : metrics.at(section).keys()) {
+      names.insert(section + "." + name);
+    }
+  }
+  return names;
+}
+
+TEST(RouterStatsTest, DaemonAndRouterKeepEveryMetricName) {
+  // The names scrapers and the benchmark read; the per-verb ones come from
+  // the verb table and must not move when it does.
+  const std::set<std::string> expected = {
+      "counters.requests_total", "counters.requests_ping",
+      "counters.requests_count", "counters.requests_insert",
+      "counters.requests_mine", "counters.requests_stats",
+      "counters.requests_checkpoint", "counters.requests_dump",
+      "counters.requests_shardinfo", "counters.requests_promote",
+      "counters.errors", "counters.rejected_backpressure",
+      "counters.batches", "counters.batch_fused_requests",
+      "counters.inserted_transactions", "counters.compacted_segments",
+      "counters.slow_queries", "counters.traced_requests",
+      "cluster.pruned_shard_queries", "cluster.hedged_requests",
+      "cluster.degraded_responses", "cluster.shard_errors",
+      "cluster.failovers", "cluster.fanout_us", "gauges.queue_depth",
+      "gauges.batch_size_peak", "gauges.active_connections",
+      "gauges.queue_depth_now", "gauges.active_connections_now",
+      "latency_us.ping", "latency_us.count", "latency_us.insert",
+      "latency_us.mine", "latency_us.stats", "latency_us.checkpoint",
+      "latency_us.dump", "latency_us.shardinfo", "latency_us.promote",
+      "batch.size"};
+  TransactionDatabase full = bbsmine::testing::RandomDb(54, 60, 16, 5.0);
+  Fleet fleet(full, 2);
+  RouterService router(fleet.map(), Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+  EXPECT_EQ(MetricNames(fleet.oracle().Handle(MakeRequest("STATS"))),
+            expected);
+  EXPECT_EQ(MetricNames(router.Handle(MakeRequest("STATS"))), expected);
+}
+
+TEST(VerbTableTest, EveryVerbIsHandledOrRejectedByDaemonAndRouter) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(55, 60, 16, 5.0);
+  Fleet fleet(full, 2);
+  RouterService router(fleet.map(), Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+  for (const service::VerbInfo& info : service::AllVerbs()) {
+    JsonValue request = service::VerbRequest(info.verb);
+    request.Set("items", service::ItemsToJson({1, 2}));
+    request.Set("term", JsonValue::Uint(1));
+    for (service::RequestHandler* handler :
+         {static_cast<service::RequestHandler*>(&fleet.oracle()),
+          static_cast<service::RequestHandler*>(&router)}) {
+      const JsonValue response =
+          handler->Handle(request, service::RequestContext{});
+      EXPECT_EQ(response.at("verb").AsString(), info.name);
+      if (!response.at("ok").AsBool()) {
+        const std::string& message =
+            response.at("error").at("message").AsString();
+        EXPECT_EQ(message.find("unknown verb"), std::string::npos)
+            << info.name << ": " << message;
+      }
+    }
+  }
+  JsonValue dump = router.Handle(MakeRequest("DUMP"));
+  EXPECT_EQ(dump.at("error").at("message").AsString(),
+            "DUMP is daemon-local; send it to a shard directly");
+}
+
+TEST(MineArgsTest, DaemonAndRouterRejectTheSameBadArguments) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(56, 80, 16, 5.0);
+  Fleet fleet(full, 2);
+  RouterService router(fleet.map(), Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+  const std::vector<std::pair<const char*, JsonValue>> bad = {
+      {"minsup", JsonValue::Double(0)},
+      {"minsup", JsonValue::Double(-0.25)},
+      {"minsup", JsonValue::Double(1.5)},
+      {"minsup", JsonValue::String("0.1")},
+      {"top", JsonValue::Int(0)},
+      {"top", JsonValue::Int(-3)},
+      {"top", JsonValue::Double(2.5)},
+      {"top", JsonValue::Double(1e300)},
+      {"top", JsonValue::Double(-1e300)},
+      {"top", JsonValue::String("3")},
+      {"top", JsonValue::Bool(true)},
+  };
+  for (const auto& [key, value] : bad) {
+    JsonValue request = MakeRequest("MINE");
+    request.Set(key, value);
+    for (JsonValue response :
+         {fleet.oracle().Handle(request), router.Handle(request)}) {
+      EXPECT_FALSE(response.at("ok").AsBool()) << request.Serialize(0);
+      EXPECT_EQ(response.at("error").at("code").AsString(), "InvalidArgument")
+          << request.Serialize(0);
+    }
+  }
+  // A whole number written as a double is a valid "top".
+  JsonValue good = MakeRequest("MINE");
+  good.Set("minsup", JsonValue::Double(0.1));
+  good.Set("top", JsonValue::Double(3.0));
+  for (JsonValue response :
+       {fleet.oracle().Handle(good), router.Handle(good)}) {
+    ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize(0);
+    EXPECT_LE(response.at("patterns").size(), 3u);
+  }
+}
+
+TEST(RouterRobustnessTest, DeeplyNestedFrameIsRejectedAndTheRouterLives) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(57, 40, 16, 5.0);
+  Fleet fleet(full, 2);
+  RouterService router(fleet.map(), Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+  service::SocketServer server(&router, service::SocketServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok());
+    const std::string payload =
+        std::string(100'000, '[') + std::string(100'000, ']');
+    std::string frame;
+    for (int i = 0; i < 4; ++i) {
+      frame.push_back(static_cast<char>(payload.size() >> (8 * i)));
+    }
+    ASSERT_TRUE(SendAll(fd->get(), frame + payload).ok());
+    auto response = service::ReadFrame(fd->get(), /*timeout_ms=*/10'000);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->at("error").at("code").AsString(), "InvalidArgument");
+  }
+  service::ClientSession session("127.0.0.1", server.port());
+  auto pong = session.Call(MakeRequest("PING"), 10'000);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(pong->at("ok").AsBool());
+  server.Stop();
 }
 
 TEST(RouterStatsTest, RouterShardInfoExposesRootSignature) {

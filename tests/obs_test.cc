@@ -2,6 +2,8 @@
 // (exact number round-trips), the metrics registry (deterministic shard
 // merge), the depth histogram, and the Chrome trace-event tracer.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -88,6 +90,36 @@ TEST(JsonTest, ParseRejectsMalformedDocuments) {
                           "{\"a\":1} trailing", "\"unterminated"}) {
     EXPECT_FALSE(JsonValue::Parse(bad).ok()) << "should reject: " << bad;
   }
+}
+
+TEST(JsonTest, ParseBoundsNestingDepth) {
+  auto nested = [](size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  const size_t bound = JsonValue::kMaxDepth;
+  EXPECT_TRUE(JsonValue::Parse(nested(bound, '[', ']')).ok());
+  EXPECT_FALSE(JsonValue::Parse(nested(bound + 1, '[', ']')).ok());
+  // Objects count toward the same bound.
+  std::string objects;
+  for (size_t i = 0; i < bound; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(bound, '}');
+  EXPECT_TRUE(JsonValue::Parse(objects).ok());
+  EXPECT_FALSE(JsonValue::Parse("[" + objects + "]").ok());
+  // Far past the bound it fails fast instead of exhausting the stack.
+  Result<JsonValue> hostile = JsonValue::Parse(nested(100'000, '[', ']'));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JsonTest, IntegerAccessorsSaturateOutOfRangeDoubles) {
+  EXPECT_EQ(JsonValue::Double(1e300).AsInt(), INT64_MAX);
+  EXPECT_EQ(JsonValue::Double(-1e300).AsInt(), INT64_MIN);
+  EXPECT_EQ(JsonValue::Double(1e300).AsUint(), UINT64_MAX);
+  EXPECT_EQ(JsonValue::Double(-1e300).AsUint(), 0u);
+  EXPECT_EQ(JsonValue::Double(std::nan("")).AsInt(), 0);
+  EXPECT_EQ(JsonValue::Double(std::nan("")).AsUint(), 0u);
+  EXPECT_EQ(JsonValue::Double(-2.5).AsInt(), -2);
+  EXPECT_EQ(JsonValue::Double(2.5).AsUint(), 2u);
 }
 
 TEST(JsonTest, FileRoundTrip) {

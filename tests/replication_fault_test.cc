@@ -115,12 +115,12 @@ class PoisonedPrimary {
       if (!handshake.ok() || !handshake->Has("watermark")) continue;
       handshakes_.fetch_add(1, std::memory_order_relaxed);
 
-      obs::JsonValue accepted = OkResponse("WALSTREAM");
+      obs::JsonValue accepted = OkResponse(Verb::kWalStream);
       accepted.Set("watermark", handshake->at("watermark"));
       accepted.Set("end_txn", obs::JsonValue::Uint(2));
       if (!WriteFrame(conn->get(), accepted).ok()) continue;
 
-      obs::JsonValue frame = OkResponse("WALSTREAM");
+      obs::JsonValue frame = OkResponse(Verb::kWalStream);
       frame.Set("kind", obs::JsonValue::String("records"));
       frame.Set("start_txn", obs::JsonValue::Uint(0));
       frame.Set("transactions", obs::JsonValue::Uint(2));

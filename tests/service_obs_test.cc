@@ -105,8 +105,8 @@ TEST(ServiceMetricsWindowTest, EmptyWindowRendersZeroDeltas) {
 
 TEST(ServiceMetricsWindowTest, YoungServiceWindowCoversSinceStart) {
   ServiceMetrics metrics;
-  metrics.Inc(metrics.requests_count, 7);
-  metrics.ObserveLog2(metrics.latency_count, 100);
+  metrics.Inc(metrics.requests(Verb::kCount), 7);
+  metrics.ObserveLog2(metrics.latency(Verb::kCount), 100);
   // 5 s old — younger than the lookback; baseline is service start.
   obs::JsonValue window = metrics.WindowSectionJson(5 * kSecond);
   EXPECT_DOUBLE_EQ(window.at("covered_seconds").AsDouble(), 5.0);
@@ -118,15 +118,19 @@ TEST(ServiceMetricsWindowTest, YoungServiceWindowCoversSinceStart) {
 TEST(ServiceMetricsWindowTest, RotationIsolatesRecentWorkFromOldWork) {
   ServiceMetrics metrics;
   // Minute one: 5 counts, slow (~1 ms) latencies.
-  metrics.Inc(metrics.requests_count, 5);
-  for (int i = 0; i < 5; ++i) metrics.ObserveLog2(metrics.latency_count, 1000);
+  metrics.Inc(metrics.requests(Verb::kCount), 5);
+  for (int i = 0; i < 5; ++i) {
+    metrics.ObserveLog2(metrics.latency(Verb::kCount), 1000);
+  }
   // Rotate through 70 s of service time at the default 10 s interval.
   for (uint64_t t = 10; t <= 70; t += 10) {
     metrics.MaybeRotateWindows(t * kSecond);
   }
   // Minute two: 3 more counts, fast (~64 µs) latencies.
-  metrics.Inc(metrics.requests_count, 3);
-  for (int i = 0; i < 3; ++i) metrics.ObserveLog2(metrics.latency_count, 64);
+  metrics.Inc(metrics.requests(Verb::kCount), 3);
+  for (int i = 0; i < 3; ++i) {
+    metrics.ObserveLog2(metrics.latency(Verb::kCount), 64);
+  }
 
   obs::JsonValue window = metrics.WindowSectionJson(75 * kSecond);
   const obs::JsonValue& last = window.at("last_60s");
@@ -140,7 +144,7 @@ TEST(ServiceMetricsWindowTest, RotationIsolatesRecentWorkFromOldWork) {
   EXPECT_GE(hist.at("p50").AsDouble(), 32.0);
   EXPECT_LT(hist.at("p50").AsDouble(), 128.0);
   // Lifetime view still has all 8.
-  uint64_t lifetime = metrics.counter(metrics.requests_count);
+  uint64_t lifetime = metrics.counter(metrics.requests(Verb::kCount));
   EXPECT_EQ(lifetime, 8u);
 }
 
@@ -222,8 +226,8 @@ TEST(ServiceMetricsConcurrencyTest, ParallelWritersLoseNothing) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        metrics.Inc(metrics.requests_count);
-        metrics.ObserveLog2(metrics.latency_count, (i % 1024) + 1);
+        metrics.Inc(metrics.requests(Verb::kCount));
+        metrics.ObserveLog2(metrics.latency(Verb::kCount), (i % 1024) + 1);
         metrics.GaugeMax(metrics.queue_depth,
                          static_cast<uint64_t>(w) * kPerWriter + i);
       }
@@ -233,7 +237,8 @@ TEST(ServiceMetricsConcurrencyTest, ParallelWritersLoseNothing) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
 
-  EXPECT_EQ(metrics.counter(metrics.requests_count), kWriters * kPerWriter);
+  EXPECT_EQ(metrics.counter(metrics.requests(Verb::kCount)),
+            kWriters * kPerWriter);
   EXPECT_EQ(metrics.counter(metrics.queue_depth),
             static_cast<uint64_t>(kWriters - 1) * kPerWriter + kPerWriter - 1);
   for (const obs::MetricSample& sample : metrics.Snapshot()) {
@@ -251,7 +256,7 @@ FlightEvent MakeEvent(uint64_t seq) {
   event.seq = seq;
   event.start_rel_us = seq * 10;
   event.latency_us = seq * 2;  // the cross-field invariant readers check
-  event.verb = RecordedVerb::kCount;
+  event.verb = Verb::kCount;
   event.ok = true;
   std::snprintf(event.trace_id, sizeof(event.trace_id), "t%llu",
                 static_cast<unsigned long long>(seq));
@@ -292,7 +297,7 @@ TEST(FlightRingTest, ConcurrentReadersNeverSeeTornEvents) {
           // writer maintains; the seqlock must filter them out.
           ASSERT_EQ(event.latency_us, event.seq * 2);
           ASSERT_EQ(event.start_rel_us, event.seq * 10);
-          ASSERT_EQ(event.verb, RecordedVerb::kCount);
+          ASSERT_EQ(event.verb, Verb::kCount);
           ASSERT_EQ(std::string(event.trace_id),
                     "t" + std::to_string(event.seq));
         }
@@ -524,7 +529,7 @@ TEST(ServicePlaneTest, HandleWiresTraceSlowLogAndFlightTogether) {
   std::vector<FlightEvent> events = ctx.flight->Read();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string(events[0].trace_id), "tr-e2e");
-  EXPECT_EQ(events[0].verb, RecordedVerb::kCount);
+  EXPECT_EQ(events[0].verb, Verb::kCount);
   EXPECT_TRUE(events[0].ok);
 
   // Metrics: the plane's own counters moved.
@@ -559,6 +564,33 @@ TEST(ServicePlaneTest, DumpVerbReturnsRecordedFlightEvents) {
   EXPECT_EQ(flight.at("kind").AsString(), "bbsmined_flight_recorder");
   ASSERT_GE(flight.at("connections").size(), 1u);
   EXPECT_NE(flight.Serialize().find("tr-dump"), std::string::npos);
+}
+
+TEST(ServicePlaneTest, DumpNamesShardInfoAndPromote) {
+  Fixture fx = MakeFixture(36, 60, 64);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  FlightRecorder recorder(8);
+  ServiceOptions options;
+  options.flight_recorder = &recorder;
+  BbsService service(&*manager, &fx.db, options);
+
+  RequestContext ctx;
+  ctx.flight = recorder.AcquireRing(7);
+  ASSERT_TRUE(service.Handle(VerbRequest(Verb::kShardInfo), ctx)
+                  .at("ok")
+                  .AsBool());
+  obs::JsonValue promote = VerbRequest(Verb::kPromote);
+  promote.Set("term", obs::JsonValue::Uint(2));
+  ASSERT_TRUE(service.Handle(promote, ctx).at("ok").AsBool());
+
+  obs::JsonValue response = service.Handle(VerbRequest(Verb::kDump), ctx);
+  ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
+  const obs::JsonValue& events =
+      response.at("flight").at("connections").at(0).at("events");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events.at(0).at("verb").AsString(), "SHARDINFO");
+  EXPECT_EQ(events.at(1).at("verb").AsString(), "PROMOTE");
 }
 
 TEST(ServicePlaneTest, DumpVerbFailsWithoutFlightRecorder) {

@@ -676,6 +676,68 @@ TEST(SocketServerTest, ServesConcurrentClientsBitIdentically) {
   }
 }
 
+/// Sends `payload` as one frame, bypassing WriteFrame's serializer so the
+/// bytes can be anything a hostile peer sends.
+Status SendRawFrame(int fd, const std::string& payload) {
+  std::string frame;
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<char>(payload.size() >> (8 * i)));
+  }
+  return SendAll(fd, frame + payload);
+}
+
+TEST(SocketServerTest, DeeplyNestedFrameIsRejectedAndTheDaemonLives) {
+  Fixture fx = MakeFixture(24, 50, 64);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, &fx.db, ServiceOptions{});
+  SocketServerOptions options;
+  options.poll_interval_ms = 50;
+  SocketServer server(&service, options);
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: "
+                 << started.ToString();
+  }
+  {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(SendRawFrame(fd->get(), std::string(100'000, '[') +
+                                            std::string(100'000, ']'))
+                    .ok());
+    auto response = ReadFrame(fd->get(), /*timeout_ms=*/10'000);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->at("ok").AsBool());
+    EXPECT_EQ(response->at("error").at("code").AsString(), "InvalidArgument");
+  }
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(WriteFrame(fd->get(), VerbRequest(Verb::kPing)).ok());
+  auto pong = ReadFrame(fd->get(), /*timeout_ms=*/10'000);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(pong->at("ok").AsBool());
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// The verb table (service/verbs.h).
+
+TEST(VerbTableTest, NamesRoundTripAndRequestsResolve) {
+  ASSERT_EQ(AllVerbs().size(), kNumVerbs - 1);
+  for (const VerbInfo& info : AllVerbs()) {
+    EXPECT_EQ(VerbFromName(info.name), info.verb);
+    EXPECT_EQ(&InfoOf(info.verb), &info);
+    EXPECT_EQ(VerbOf(VerbRequest(info.verb)), info.verb);
+  }
+  EXPECT_EQ(VerbFromName("ping"), Verb::kUnknown);  // case-sensitive
+  EXPECT_EQ(VerbOf(obs::JsonValue::Null()), Verb::kUnknown);
+  obs::JsonValue numeric = obs::JsonValue::Object();
+  numeric.Set("verb", obs::JsonValue::Int(1));
+  EXPECT_EQ(VerbOf(numeric), Verb::kUnknown);
+  EXPECT_FALSE(InfoOf(Verb::kUnknown).idempotent);
+  EXPECT_STREQ(VerbName(Verb::kUnknown), "UNKNOWN");
+}
+
 // ---------------------------------------------------------------------------
 // Client retry: behavior against a saturated scheduler, a healthy daemon,
 // and a dead endpoint. Backoffs are shrunk to keep the test fast; jitter is

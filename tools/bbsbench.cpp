@@ -33,19 +33,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/shard_map.h"
 #include "datagen/traffic_gen.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "service/wire.h"
+#include "util/flags.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -53,95 +53,45 @@ using namespace bbsmine;
 
 namespace {
 
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmined parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
+using enum FlagType;
 
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+const FlagSpec kFlags[] = {
+    {"host", kString, "127.0.0.1", "daemon address"},
+    {"port", kUint, "0", "daemon port (required unless --dry-run)",
+     0, kPortFlagMax},
+    {"target", kString, "", "daemon or router H:P (overrides --host/--port)"},
+    {"connections", kUint, "32", "concurrent connections", 1},
+    {"timeout-ms", kUint, "5000", "per-request response timeout",
+     0, kIntFlagMax},
+    {"seed", kUint, "42", "request-stream seed"},
+    {"rate", kDouble, "200", "offered load, requests/s"},
+    {"duration-s", kDouble, "10", "stream duration, seconds"},
+    {"arrival", kString, "poisson", "poisson | bursty"},
+    {"burst-on-ms", kDouble, "200", "bursty on window"},
+    {"burst-off-ms", kDouble, "800", "bursty off window"},
+    {"mix-ping", kDouble, "0", "PING weight"},
+    {"mix-count", kDouble, "70", "COUNT weight"},
+    {"mix-insert", kDouble, "20", "INSERT weight"},
+    {"mix-mine", kDouble, "5", "MINE weight"},
+    {"mix-stats", kDouble, "5", "STATS weight"},
+    {"items", kUint, "1000", "item universe size", 0, kUint32FlagMax},
+    {"zipf-s", kDouble, "0.99", "item skew exponent; 0 = uniform"},
+    {"query-len", kUint, "2", "items per COUNT", 0, kUint32FlagMax},
+    {"insert-len", kDouble, "10", "mean INSERT transaction size"},
+    {"minsup", kDouble, "0.1", "MINE minimum support", 0, 1},
+    {"top", kUint, "10", "MINE result cap", 0, kUint32FlagMax},
+    {"rate-steps", kUint, "0", "saturation-search steps (0 = off)"},
+    {"rate-start", kDouble, "", "first step's rate (default: --rate)"},
+    {"rate-factor", kDouble, "2", "rate multiplier per step"},
+    {"step-duration-s", kDouble, "5", "duration of each step, seconds"},
+    {"slo-p99-ms", kDouble, "50", "the SLO: client p99 <= this many ms"},
+    {"slo-verb", kString, "count", "verb the SLO is judged on"},
+    {"out", kString, "BENCH_service.json", "report path"},
+    {"reservoir", kUint, "65536", "latency samples kept per verb"},
+    {"trace-ids", kBool, "", "tag requests with trace_id b<seed>-<index>"},
+    {"dry-run", kBool, "", "generate the stream only; no daemon needed"},
+    {"dump-stream", kString, "", "write the request stream as text"},
 };
-
-void Usage() {
-  std::cerr <<
-      "usage: bbsbench [--flag value | --flag=value ...]\n"
-      "target:\n"
-      "  --host A.B.C.D      daemon address (default 127.0.0.1)\n"
-      "  --port N            daemon port (required unless --dry-run)\n"
-      "  --target H:P        daemon or bbsrouter endpoint (overrides\n"
-      "                      --host/--port); against a router the report\n"
-      "                      gains a \"cluster\" section with per-shard\n"
-      "                      fan-out deltas\n"
-      "  --connections N     concurrent connections (default 32)\n"
-      "  --timeout-ms N      per-request response timeout (default 5000)\n"
-      "workload (see docs/BENCHMARKS.md):\n"
-      "  --seed N            request-stream seed (default 42)\n"
-      "  --rate R            offered load, requests/s (default 200)\n"
-      "  --duration-s S      stream duration (default 10)\n"
-      "  --arrival KIND      poisson | bursty (default poisson)\n"
-      "  --burst-on-ms M --burst-off-ms M   bursty on/off windows\n"
-      "  --mix-ping W --mix-count W --mix-insert W --mix-mine W\n"
-      "  --mix-stats W       verb weights (default 0/70/20/5/5)\n"
-      "  --items N           item universe size (default 1000)\n"
-      "  --zipf-s S          item skew exponent; 0 = uniform (default 0.99)\n"
-      "  --query-len N       items per COUNT (default 2)\n"
-      "  --insert-len M      mean INSERT transaction size (default 10)\n"
-      "  --minsup F --top N  MINE parameters (default 0.1 / 10)\n"
-      "saturation search (off unless --rate-steps > 0):\n"
-      "  --rate-steps N      stepped-rate points to probe\n"
-      "  --rate-start R      first step's rate (default --rate)\n"
-      "  --rate-factor F     rate multiplier per step (default 2.0)\n"
-      "  --step-duration-s S duration of each step (default 5)\n"
-      "  --slo-p99-ms M      the SLO: client p99 <= M ms (default 50)\n"
-      "  --slo-verb VERB     verb the SLO is judged on (default count)\n"
-      "output:\n"
-      "  --out FILE          report path (default BENCH_service.json)\n"
-      "  --reservoir N       latency samples kept per verb (default 65536)\n"
-      "  --trace-ids         tag every request with a deterministic\n"
-      "                      trace_id (b<seed>-<stream index>) so daemon\n"
-      "                      traces / slow-log lines correlate to the\n"
-      "                      generated stream\n"
-      "  --dry-run           generate the stream only; no daemon needed\n"
-      "  --dump-stream FILE  write the request stream as text (for\n"
-      "                      reproducibility diffs)\n";
-}
 
 constexpr size_t kNumVerbs = 5;
 constexpr TrafficVerb kVerbs[kNumVerbs] = {
@@ -348,8 +298,8 @@ Result<RunResult> RunTraffic(const TrafficSpec& spec, const std::string& host,
         std::make_unique<VerbStats>(reservoir_capacity, spec.seed + v));
   }
 
-  obs::JsonValue stats_request = obs::JsonValue::Object();
-  stats_request.Set("verb", obs::JsonValue::String("STATS"));
+  const obs::JsonValue stats_request =
+      service::VerbRequest(service::Verb::kStats);
   if (Result<obs::JsonValue> before =
           CallOnce(host, port, stats_request, timeout_ms);
       before.ok() && before->Has("report")) {
@@ -673,75 +623,58 @@ int DumpStream(const std::vector<TrafficRequest>& stream,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
+  const Flags args = ParseFlagsOrExit(
+      "bbsbench", "usage: bbsbench [--flag value | --flag=value ...]", kFlags,
+      argc, argv, 1);
 
   TrafficSpec spec;
-  spec.seed = args.GetUint("seed", 42);
-  spec.rate_rps = args.GetDouble("rate", 200.0);
-  spec.duration_s = args.GetDouble("duration-s", 10.0);
-  std::string arrival = args.GetString("arrival", "poisson");
+  spec.seed = args.GetUint("seed");
+  spec.rate_rps = args.GetDouble("rate");
+  spec.duration_s = args.GetDouble("duration-s");
+  const std::string& arrival = args.GetString("arrival");
   if (arrival == "bursty") {
     spec.arrival = ArrivalProcess::kBursty;
   } else if (arrival != "poisson") {
     std::cerr << "bbsbench: --arrival must be poisson or bursty\n";
     return 2;
   }
-  spec.burst_on_ms = args.GetDouble("burst-on-ms", 200.0);
-  spec.burst_off_ms = args.GetDouble("burst-off-ms", 800.0);
-  spec.mix.ping = args.GetDouble("mix-ping", 0.0);
-  spec.mix.count = args.GetDouble("mix-count", 70.0);
-  spec.mix.insert = args.GetDouble("mix-insert", 20.0);
-  spec.mix.mine = args.GetDouble("mix-mine", 5.0);
-  spec.mix.stats = args.GetDouble("mix-stats", 5.0);
-  spec.item_universe = static_cast<uint32_t>(args.GetUint("items", 1000));
-  spec.zipf_s = args.GetDouble("zipf-s", 0.99);
-  spec.query_len = static_cast<uint32_t>(args.GetUint("query-len", 2));
-  spec.insert_len_mean = args.GetDouble("insert-len", 10.0);
-  spec.mine_minsup = args.GetDouble("minsup", 0.1);
-  spec.mine_top = static_cast<uint32_t>(args.GetUint("top", 10));
+  spec.burst_on_ms = args.GetDouble("burst-on-ms");
+  spec.burst_off_ms = args.GetDouble("burst-off-ms");
+  spec.mix.ping = args.GetDouble("mix-ping");
+  spec.mix.count = args.GetDouble("mix-count");
+  spec.mix.insert = args.GetDouble("mix-insert");
+  spec.mix.mine = args.GetDouble("mix-mine");
+  spec.mix.stats = args.GetDouble("mix-stats");
+  spec.item_universe = static_cast<uint32_t>(args.GetUint("items"));
+  spec.zipf_s = args.GetDouble("zipf-s");
+  spec.query_len = static_cast<uint32_t>(args.GetUint("query-len"));
+  spec.insert_len_mean = args.GetDouble("insert-len");
+  spec.mine_minsup = args.GetDouble("minsup");
+  spec.mine_top = static_cast<uint32_t>(args.GetUint("top"));
 
-  std::string host = args.GetString("host", "127.0.0.1");
-  const uint64_t port_value = args.GetUint("port", 0);
-  if (port_value > 65535) {
-    std::cerr << "bbsbench: --port must be in [0, 65535], got " << port_value
-              << "\n";
-    return 2;
-  }
-  uint16_t port = static_cast<uint16_t>(port_value);
+  std::string host = args.GetString("host");
+  uint16_t port = static_cast<uint16_t>(args.GetUint("port"));
   if (std::string target = args.GetString("target"); !target.empty()) {
     // --target H:P addresses a daemon or a bbsrouter alike (they speak the
     // same protocol); it overrides --host/--port.
-    size_t colon = target.rfind(':');
-    unsigned long parsed =
-        colon == std::string::npos
-            ? 0
-            : std::strtoul(target.substr(colon + 1).c_str(), nullptr, 10);
-    if (colon == 0 || colon == std::string::npos || parsed == 0 ||
-        parsed > 65535) {
-      std::cerr << "bbsbench: --target must be host:port\n";
+    Result<cluster::ShardEndpoint> endpoint = cluster::ParseEndpoint(target);
+    if (!endpoint.ok()) {
+      std::cerr << "bbsbench: --target: " << endpoint.status().message()
+                << "\n";
       return 2;
     }
-    host = target.substr(0, colon);
-    port = static_cast<uint16_t>(parsed);
+    host = endpoint->host;
+    port = endpoint->port;
   }
-  const size_t connections = args.GetUint("connections", 32);
-  const int timeout_ms = static_cast<int>(args.GetUint("timeout-ms", 5000));
-  const size_t reservoir = args.GetUint("reservoir", 65536);
-  const std::string out_path = args.GetString("out", "BENCH_service.json");
-  const bool dry_run = args.Has("dry-run");
-  const bool trace_ids = args.Has("trace-ids");
+  const size_t connections = args.GetUint("connections");
+  const int timeout_ms = static_cast<int>(args.GetUint("timeout-ms"));
+  const size_t reservoir = args.GetUint("reservoir");
+  const std::string& out_path = args.GetString("out");
+  const bool dry_run = args.GetBool("dry-run");
+  const bool trace_ids = args.GetBool("trace-ids");
 
   if (!dry_run && port == 0) {
     std::cerr << "bbsbench: --port is required (or use --dry-run)\n";
-    return 2;
-  }
-  if (connections == 0) {
-    std::cerr << "bbsbench: --connections must be positive\n";
     return 2;
   }
 
@@ -780,15 +713,15 @@ int main(int argc, char** argv) {
   // Optional stepped-rate saturation search: probe increasing offered
   // loads and report the highest one whose client p99 for --slo-verb
   // still meets the SLO.
-  const uint64_t rate_steps = args.GetUint("rate-steps", 0);
+  const uint64_t rate_steps = args.GetUint("rate-steps");
   if (rate_steps > 0) {
-    const double slo_p99_ms = args.GetDouble("slo-p99-ms", 50.0);
-    const TrafficVerb slo_verb =
-        ParseSloVerb(args.GetString("slo-verb", "count"));
-    double step_rate = args.GetDouble("rate-start", spec.rate_rps);
-    const double factor = args.GetDouble("rate-factor", 2.0);
+    const double slo_p99_ms = args.GetDouble("slo-p99-ms");
+    const TrafficVerb slo_verb = ParseSloVerb(args.GetString("slo-verb"));
+    double step_rate = args.Has("rate-start") ? args.GetDouble("rate-start")
+                                              : spec.rate_rps;
+    const double factor = args.GetDouble("rate-factor");
     TrafficSpec step_spec = spec;
-    step_spec.duration_s = args.GetDouble("step-duration-s", 5.0);
+    step_spec.duration_s = args.GetDouble("step-duration-s");
 
     obs::JsonValue steps = obs::JsonValue::Array();
     double best_rate = 0.0;

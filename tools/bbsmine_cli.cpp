@@ -1,12 +1,7 @@
 // bbsmine — command-line front end for the BBS mining library.
 //
-// Subcommands:
-//   gen      generate a Quest-style synthetic dataset
-//   convert  convert between FIMI text and the binary database format
-//   build    build a BBS index over a database
-//   stats    show database / index statistics
-//   mine     mine frequent patterns (SFS/SFP/DFS/DFP/apriori/fpgrowth)
-//   count    ad-hoc exact count of an itemset (optionally TID-constrained)
+// `bbsmine --help` lists the subcommands (kCommands below) and
+// `bbsmine <command> --help` the flags of one.
 //
 // Examples:
 //   bbsmine gen --txns 10000 --items 10000 --t 10 --i 10 --out data.fimi
@@ -18,9 +13,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,6 +38,7 @@
 #include "storage/fimi_io.h"
 #include "storage/transaction_db.h"
 #include "util/bitvector_kernels.h"
+#include "util/flags.h"
 #include "util/rusage.h"
 #include "util/socket.h"
 #include "util/thread_pool.h"
@@ -53,66 +47,20 @@ using namespace bbsmine;
 
 namespace {
 
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true".
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::string Require(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      std::cerr << "missing required flag --" << key << "\n";
-      std::exit(2);
-    }
-    return it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
-  bool GetBool(const std::string& key) const {
-    return GetString(key) == "true";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using enum FlagType;
 
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "error: " << status.ToString() << "\n";
   std::exit(1);
+}
+
+/// The value of a string flag the command cannot run without.
+const std::string& Require(const Flags& args, const char* name) {
+  if (args.GetString(name).empty()) {
+    std::cerr << "missing required flag --" << name << "\n";
+    std::exit(2);
+  }
+  return args.GetString(name);
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -132,8 +80,8 @@ TransactionDatabase LoadDb(const std::string& path) {
   return std::move(db).value();
 }
 
-IndexBackend ParseBackendFlag(const Args& args) {
-  auto backend = ParseIndexBackend(args.GetString("index-backend", "resident"));
+IndexBackend ParseBackendFlag(const Flags& args) {
+  auto backend = ParseIndexBackend(args.GetString("index-backend"));
   if (!backend.ok()) Die(backend.status());
   return *backend;
 }
@@ -161,15 +109,15 @@ Itemset ParseItems(const std::string& spec) {
   return items;
 }
 
-int CmdGen(const Args& args) {
+int CmdGen(const Flags& args) {
   QuestConfig config;
-  config.num_transactions = static_cast<uint32_t>(args.GetUint("txns", 10'000));
-  config.num_items = static_cast<uint32_t>(args.GetUint("items", 10'000));
-  config.avg_transaction_size = args.GetDouble("t", 10);
-  config.avg_pattern_size = args.GetDouble("i", 10);
-  config.num_patterns = static_cast<uint32_t>(args.GetUint("patterns", 2'000));
-  config.seed = args.GetUint("seed", 42);
-  std::string out = args.Require("out");
+  config.num_transactions = static_cast<uint32_t>(args.GetUint("txns"));
+  config.num_items = static_cast<uint32_t>(args.GetUint("items"));
+  config.avg_transaction_size = args.GetDouble("t");
+  config.avg_pattern_size = args.GetDouble("i");
+  config.num_patterns = static_cast<uint32_t>(args.GetUint("patterns"));
+  config.seed = args.GetUint("seed");
+  std::string out = Require(args, "out");
 
   auto db = GenerateQuest(config);
   if (!db.ok()) Die(db.status());
@@ -184,9 +132,9 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
-int CmdConvert(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("in"));
-  std::string out = args.Require("out");
+int CmdConvert(const Flags& args) {
+  TransactionDatabase db = LoadDb(Require(args, "in"));
+  std::string out = Require(args, "out");
   Status status = EndsWith(out, ".fimi") || EndsWith(out, ".dat")
                       ? WriteFimi(db, out)
                       : db.Save(out);
@@ -195,12 +143,12 @@ int CmdConvert(const Args& args) {
   return 0;
 }
 
-int CmdBuild(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
+int CmdBuild(const Flags& args) {
+  TransactionDatabase db = LoadDb(Require(args, "db"));
   BbsConfig config;
-  config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-  config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
-  std::string hash = args.GetString("hash", "md5");
+  config.num_bits = static_cast<uint32_t>(args.GetUint("bits"));
+  config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes"));
+  std::string hash = args.GetString("hash");
   if (hash == "md5") {
     config.hash_kind = HashKind::kMd5;
   } else if (hash == "mult") {
@@ -211,12 +159,12 @@ int CmdBuild(const Args& args) {
     std::cerr << "unknown --hash (use md5 | mult | mod)\n";
     return 2;
   }
-  config.seed = args.GetUint("seed", 0);
-  std::string out = args.Require("out");
+  config.seed = args.GetUint("seed");
+  std::string out = Require(args, "out");
 
   // --segment-capacity selects a segmented index (one file per segment
   // plus <out>.manifest) — the format bbsmined serves incrementally.
-  if (uint64_t capacity = args.GetUint("segment-capacity", 0); capacity > 0) {
+  if (uint64_t capacity = args.GetUint("segment-capacity"); capacity > 0) {
     auto segmented = SegmentedBbs::Create(config, capacity);
     if (!segmented.ok()) Die(segmented.status());
     if (Status st = segmented->InsertAll(db); !st.ok()) Die(st);
@@ -243,7 +191,7 @@ int CmdBuild(const Args& args) {
   return 0;
 }
 
-int CmdStats(const Args& args) {
+int CmdStats(const Flags& args) {
   if (std::string path = args.GetString("db"); !path.empty()) {
     TransactionDatabase db = LoadDb(path);
     uint64_t total_items = 0;
@@ -292,11 +240,11 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-int CmdMine(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  double min_support = args.GetDouble("minsup", 0.003);
-  std::string algo = args.GetString("algo", "dfp");
-  size_t top = args.GetUint("top", 10);
+int CmdMine(const Flags& args) {
+  TransactionDatabase db = LoadDb(Require(args, "db"));
+  double min_support = args.GetDouble("minsup");
+  std::string algo = args.GetString("algo");
+  size_t top = args.GetUint("top");
   std::string stats_json = args.GetString("stats-json");
   std::string trace_out = args.GetString("trace-out");
 
@@ -320,7 +268,7 @@ int CmdMine(const Args& args) {
   if (algo == "apriori") {
     AprioriConfig apriori_config;
     apriori_config.min_support = min_support;
-    apriori_config.memory_budget_bytes = args.GetUint("budget", 0);
+    apriori_config.memory_budget_bytes = args.GetUint("budget");
     result = MineApriori(db, apriori_config);
   } else if (algo == "eclat") {
     EclatConfig eclat_config;
@@ -329,13 +277,13 @@ int CmdMine(const Args& args) {
   } else if (algo == "fpgrowth") {
     FpGrowthConfig fp_config;
     fp_config.min_support = min_support;
-    fp_config.memory_budget_bytes = args.GetUint("budget", 0);
+    fp_config.memory_budget_bytes = args.GetUint("budget");
     result = MineFpGrowth(db, fp_config);
   } else {
     is_bbs = true;
     config.min_support = min_support;
-    config.memory_budget_bytes = args.GetUint("budget", 0);
-    config.num_threads = static_cast<uint32_t>(args.GetUint("threads", 1));
+    config.memory_budget_bytes = args.GetUint("budget");
+    config.num_threads = static_cast<uint32_t>(args.GetUint("threads"));
     if (tracer.has_value()) config.tracer = &*tracer;
     if (algo == "sfs") {
       config.algorithm = Algorithm::kSFS;
@@ -350,7 +298,7 @@ int CmdMine(const Args& args) {
           << "unknown --algo (sfs|sfp|dfs|dfp|apriori|fpgrowth|eclat)\n";
       return 2;
     }
-    auto bbs = LoadIndexWithBackend(args.Require("index"),
+    auto bbs = LoadIndexWithBackend(Require(args, "index"),
                                     ParseBackendFlag(args));
     if (!bbs.ok()) Die(bbs.status());
     if (bbs->num_transactions() != db.size()) {
@@ -457,9 +405,9 @@ bool FileExists(const std::string& path) {
 /// Index-only count: no database, so no refinement — the printed estimate
 /// is exactly what the daemon answers from a snapshot of the same index.
 /// This is the oracle the CI smoke test diffs `bbsmine client` against.
-int CmdCountIndexOnly(const Args& args) {
-  std::string index_arg = args.Require("index");
-  Itemset items = ParseItems(args.Require("items"));
+int CmdCountIndexOnly(const Flags& args) {
+  std::string index_arg = Require(args, "index");
+  Itemset items = ParseItems(Require(args, "items"));
   size_t estimate;
   size_t transactions;
   const IndexBackend backend = ParseBackendFlag(args);
@@ -480,13 +428,13 @@ int CmdCountIndexOnly(const Args& args) {
   return 0;
 }
 
-int CmdCount(const Args& args) {
+int CmdCount(const Flags& args) {
   if (args.GetString("db").empty()) return CmdCountIndexOnly(args);
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  auto bbs = LoadIndexWithBackend(args.Require("index"),
+  TransactionDatabase db = LoadDb(Require(args, "db"));
+  auto bbs = LoadIndexWithBackend(Require(args, "index"),
                                   ParseBackendFlag(args));
   if (!bbs.ok()) Die(bbs.status());
-  Itemset items = ParseItems(args.Require("items"));
+  Itemset items = ParseItems(Require(args, "items"));
 
   BitVector constraint;
   const BitVector* constraint_ptr = nullptr;
@@ -519,17 +467,17 @@ int CmdCount(const Args& args) {
   return 0;
 }
 
-int CmdRules(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  double min_support = args.GetDouble("minsup", 0.003);
+int CmdRules(const Flags& args) {
+  TransactionDatabase db = LoadDb(Require(args, "db"));
+  double min_support = args.GetDouble("minsup");
   FpGrowthConfig mine;
   mine.min_support = min_support;
   MiningResult result = MineFpGrowth(db, mine);
   result.SortPatterns();
 
   RuleConfig config;
-  config.min_confidence = args.GetDouble("minconf", 0.5);
-  config.max_rules = args.GetUint("top", 20);
+  config.min_confidence = args.GetDouble("minconf");
+  config.max_rules = args.GetUint("top");
   std::vector<AssociationRule> rules =
       GenerateRules(result, db.size(), config);
   std::printf("%zu rules (minsup %.3f%%, minconf %.2f)\n", rules.size(),
@@ -543,17 +491,17 @@ int CmdRules(const Args& args) {
   return 0;
 }
 
-int CmdApprox(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  auto bbs = BbsIndex::Load(args.Require("index"));
+int CmdApprox(const Flags& args) {
+  TransactionDatabase db = LoadDb(Require(args, "db"));
+  auto bbs = BbsIndex::Load(Require(args, "index"));
   if (!bbs.ok()) Die(bbs.status());
   if (bbs->num_transactions() != db.size()) {
     std::cerr << "index/database mismatch\n";
     return 1;
   }
   ApproxMineConfig config;
-  config.min_support = args.GetDouble("minsup", 0.003);
-  config.min_confidence = args.GetDouble("minconf", 0.0);
+  config.min_support = args.GetDouble("minsup");
+  config.min_confidence = args.GetDouble("minconf");
   Itemset universe(db.item_universe());
   for (ItemId i = 0; i < db.item_universe(); ++i) universe[i] = i;
 
@@ -570,7 +518,7 @@ int CmdApprox(const Args& args) {
             [](const ApproxPattern& a, const ApproxPattern& b) {
               return a.est > b.est;
             });
-  size_t top = args.GetUint("top", 10);
+  size_t top = args.GetUint("top");
   for (size_t i = 0; i < std::min(top, patterns.size()); ++i) {
     std::printf("  est %-7llu conf %.3f%s  %s\n",
                 static_cast<unsigned long long>(patterns[i].est),
@@ -581,31 +529,20 @@ int CmdApprox(const Args& args) {
   return 0;
 }
 
-/// Talks to a running bbsmined (docs/SERVICE.md): sends one request frame,
-/// prints the response. --json dumps the raw response document (what the
-/// CI smoke test parses); the default output is a human-readable summary.
-///
-/// Backpressure (Unavailable) responses are retried --retries times with
-/// exponential backoff; response timeouts are retried only for idempotent
-/// verbs (PING/COUNT/STATS/MINE); transport failures are not retried.
-/// Exit codes: 0 ok, 1 application error, 2 usage, 3 transport error,
-/// 4 retries exhausted on backpressure, 5 indeterminate (a non-idempotent
-/// request such as INSERT was sent but its response timed out — it may or
-/// may not have been applied; reconcile before re-sending).
-int CmdSplit(const Args& args) {
+int CmdSplit(const Flags& args) {
   // Contiguous transaction-range partition for a bbsrouter fleet: shard i
   // holds the i-th range, so concatenating the shard databases in shard
   // order reproduces the input exactly — the invariant cluster answers
   // (and their bit-identity tests) rest on. When the count does not divide
   // evenly the first (size % shards) shards take one extra transaction.
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  const uint64_t shards = args.GetUint("shards", 0);
+  TransactionDatabase db = LoadDb(Require(args, "db"));
+  const uint64_t shards = args.GetUint("shards");
   if (shards == 0 || shards > db.size()) {
     std::cerr << "--shards must be in [1, " << db.size()
               << "] (the database size)\n";
     return 2;
   }
-  const std::string prefix = args.Require("out-prefix");
+  const std::string prefix = Require(args, "out-prefix");
   const size_t base = db.size() / shards;
   const size_t extra = db.size() % shards;
   size_t next = 0;
@@ -623,16 +560,21 @@ int CmdSplit(const Args& args) {
   return 0;
 }
 
-int CmdClient(const Args& args) {
-  std::string host = args.GetString("host", "127.0.0.1");
-  const uint64_t port_value = args.GetUint("port", 7071);
-  if (port_value > 65535) {
-    std::cerr << "bbsmine client: --port must be in [0, 65535], got "
-              << port_value << "\n";
-    return 2;
-  }
-  uint16_t port = static_cast<uint16_t>(port_value);
-  std::string verb = args.GetString("verb", "PING");
+/// Talks to a running bbsmined (docs/SERVICE.md): sends one request frame,
+/// prints the response. --json dumps the raw response document (what the
+/// CI smoke test parses); the default output is a human-readable summary.
+///
+/// Backpressure (Unavailable) responses are retried --retries times with
+/// exponential backoff; response timeouts are retried only for idempotent
+/// verbs (service/verbs.h); transport failures are not retried.
+/// Exit codes: 0 ok, 1 application error, 2 usage, 3 transport error,
+/// 4 retries exhausted on backpressure, 5 indeterminate (a non-idempotent
+/// request such as INSERT was sent but its response timed out — it may or
+/// may not have been applied; reconcile before re-sending).
+int CmdClient(const Flags& args) {
+  const std::string& host = args.GetString("host");
+  const uint16_t port = static_cast<uint16_t>(args.GetUint("port"));
+  std::string verb = args.GetString("verb");
   for (char& c : verb) c = static_cast<char>(std::toupper(c));
 
   obs::JsonValue request = obs::JsonValue::Object();
@@ -640,12 +582,11 @@ int CmdClient(const Args& args) {
   if (std::string spec = args.GetString("items"); !spec.empty()) {
     request.Set("items", service::ItemsToJson(ParseItems(spec)));
   }
-  if (std::string minsup = args.GetString("minsup"); !minsup.empty()) {
-    request.Set("minsup",
-                obs::JsonValue::Double(args.GetDouble("minsup", 0.003)));
+  if (args.Has("minsup")) {
+    request.Set("minsup", obs::JsonValue::Double(args.GetDouble("minsup")));
   }
-  if (std::string top = args.GetString("top"); !top.empty()) {
-    request.Set("top", obs::JsonValue::Uint(args.GetUint("top", 10)));
+  if (args.Has("top")) {
+    request.Set("top", obs::JsonValue::Uint(args.GetUint("top")));
   }
   if (std::string trace_id = args.GetString("trace-id"); !trace_id.empty()) {
     // Client-supplied request identity: the daemon tags this request's
@@ -654,12 +595,12 @@ int CmdClient(const Args& args) {
   }
 
   service::RetryOptions retry;
-  retry.retries = static_cast<uint32_t>(args.GetUint("retries", 0));
-  retry.backoff_ms = static_cast<uint32_t>(args.GetUint("backoff-ms", 100));
+  retry.retries = static_cast<uint32_t>(args.GetUint("retries"));
+  retry.backoff_ms = static_cast<uint32_t>(args.GetUint("backoff-ms"));
   retry.max_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("max-backoff-ms", 5000));
-  retry.timeout_ms = static_cast<int>(args.GetUint("timeout-ms", 30'000));
-  retry.jitter_seed = args.GetUint("jitter-seed", 1);
+      static_cast<uint32_t>(args.GetUint("max-backoff-ms"));
+  retry.timeout_ms = static_cast<int>(args.GetUint("timeout-ms"));
+  retry.jitter_seed = args.GetUint("jitter-seed");
 
   // One persistent session (the router-pool API); still one-shot here —
   // the process exits after a single exchange, so behavior is unchanged.
@@ -687,7 +628,7 @@ int CmdClient(const Args& args) {
     std::fprintf(stderr, "%s failed: %s: %s\n", verb.c_str(),
                  error.at("code").AsString().c_str(),
                  error.at("message").AsString().c_str());
-  } else if (verb == "COUNT") {
+  } else if (service::VerbFromName(verb) == service::Verb::kCount) {
     std::printf("count %llu (epoch %llu, %llu visible transactions, "
                 "batch of %llu)\n",
                 static_cast<unsigned long long>(
@@ -698,7 +639,7 @@ int CmdClient(const Args& args) {
                     response->at("visible_transactions").AsUint()),
                 static_cast<unsigned long long>(
                     response->at("batch_size").AsUint()));
-  } else if (verb == "MINE") {
+  } else if (service::VerbFromName(verb) == service::Verb::kMine) {
     const obs::JsonValue& patterns = response->at("patterns");
     std::printf("%llu frequent patterns (showing %zu)\n",
                 static_cast<unsigned long long>(
@@ -735,75 +676,168 @@ int CmdClient(const Args& args) {
   return response->at("ok").AsBool() ? 0 : 1;
 }
 
-void Usage() {
-  std::cerr <<
+// Rows several subcommands share.
+const FlagSpec kDbFlag = {"db", kString, "", "database (.fimi/.dat = text)"};
+const FlagSpec kIndexFlag = {"index", kString, "", "saved BBS index"};
+const FlagSpec kIndexBackendFlag = {"index-backend", kString, "resident",
+                                    "resident | mmap (same results)"};
+const FlagSpec kMinsupFlag = {"minsup", kDouble, "0.003", "minimum support",
+                              0, 1};
+const FlagSpec kOutFlag = {"out", kString, "", "output (.fimi/.dat = text)"};
+
+const FlagSpec kGenFlags[] = {
+    kOutFlag,
+    {"txns", kUint, "10000", "transactions", 0, kUint32FlagMax},
+    {"items", kUint, "10000", "item universe size", 0, kUint32FlagMax},
+    {"t", kDouble, "10", "average transaction size"},
+    {"i", kDouble, "10", "average size of the planted patterns"},
+    {"patterns", kUint, "2000", "planted patterns", 0, kUint32FlagMax},
+    {"seed", kUint, "42", "generator seed"},
+};
+
+const FlagSpec kConvertFlags[] = {
+    {"in", kString, "", "input database (.fimi/.dat/.txt = text)"},
+    kOutFlag,
+};
+
+const FlagSpec kBuildFlags[] = {
+    kDbFlag,
+    {"out", kString, "", "index file (or prefix with --segment-capacity)"},
+    {"bits", kUint, "1600", "bits per signature", 0, kUint32FlagMax},
+    {"hashes", kUint, "4", "hashes per item", 0, kUint32FlagMax},
+    {"hash", kString, "md5", "md5 | mult | mod"},
+    {"seed", kUint, "0", "hash seed"},
+    {"segment-capacity", kUint, "0",
+     "> 0: segmented index (OUT.manifest), the format bbsmined serves"},
+};
+
+const FlagSpec kStatsFlags[] = {kDbFlag, kIndexFlag};
+
+const FlagSpec kMineFlags[] = {
+    kDbFlag,
+    {"index", kString, "", "saved BBS index (BBS algorithms only)"},
+    {"algo", kString, "dfp", "sfs|sfp|dfs|dfp|apriori|fpgrowth|eclat"},
+    kMinsupFlag,
+    {"budget", kUint, "0", "memory budget in bytes (0 = unlimited)"},
+    {"top", kUint, "10", "patterns printed"},
+    {"threads", kUint, "1", "BBS threads (0 = hw threads; same patterns)",
+     0, kThreadsFlagMax},
+    {"closed", kBool, "", "keep only closed patterns"},
+    {"maximal", kBool, "", "keep only maximal patterns"},
+    {"out", kString, "", "write every pattern to this file"},
+    {"stats-json", kString, "", "write the JSON run report here"},
+    {"report", kBool, "", "print the human-readable run-report table"},
+    {"trace-out", kString, "", "write a Chrome trace here (BBS algorithms)"},
+    {"trace-kernels", kBool, "", "also trace per-kernel-call spans"},
+    kIndexBackendFlag,
+};
+
+const FlagSpec kCountFlags[] = {
+    {"db", kString, "", "database; omit for the index-only estimate"},
+    kIndexFlag,
+    {"items", kString, "", "the itemset, comma-separated"},
+    {"tid-mod", kString, "", "M:R counts only transactions whose tid % M == R"},
+    kIndexBackendFlag,
+};
+
+const FlagSpec kSplitFlags[] = {
+    kDbFlag,
+    {"shards", kUint, "0", "shard count, in [1, database size]"},
+    {"out-prefix", kString, "", "writes PREFIX.0.db .. PREFIX.N-1.db"},
+};
+
+const FlagSpec kRulesFlags[] = {
+    kDbFlag,
+    kMinsupFlag,
+    {"minconf", kDouble, "0.5", "minimum confidence", 0, 1},
+    {"top", kUint, "20", "rules printed"},
+};
+
+const FlagSpec kApproxFlags[] = {
+    kDbFlag,
+    kIndexFlag,
+    kMinsupFlag,
+    {"minconf", kDouble, "0", "minimum confidence", 0, 1},
+    {"top", kUint, "10", "patterns printed"},
+};
+
+const FlagSpec kClientFlags[] = {
+    {"host", kString, "127.0.0.1", "daemon or router address"},
+    {"port", kUint, "7071", "daemon or router port", 0, kPortFlagMax},
+    {"verb", kString, "PING",
+     service::JoinVerbNames(" | ") + " (case-insensitive)"},
+    {"items", kString, "", "the request's itemset, comma-separated"},
+    {"minsup", kDouble, "", "MINE minimum support (absent: daemon's)"},
+    {"top", kUint, "", "MINE result cap (absent: the daemon's default)"},
+    {"trace-id", kString, "", "trace_id to tag the request with"},
+    {"json", kBool, "", "print the raw response document"},
+    {"retries", kUint, "0", "backpressure retries", 0, kUint32FlagMax},
+    {"backoff-ms", kUint, "100", "base retry backoff", 0, kUint32FlagMax},
+    {"max-backoff-ms", kUint, "5000", "retry backoff cap", 0, kUint32FlagMax},
+    {"timeout-ms", kUint, "30000", "per-attempt response timeout",
+     0, kIntFlagMax},
+    {"jitter-seed", kUint, "1", "seed of the deterministic backoff jitter"},
+};
+
+struct Command {
+  const char* name;
+  const char* summary;
+  std::span<const FlagSpec> flags;
+  int (*run)(const Flags&);
+};
+
+const Command kCommands[] = {
+    {"gen", "generate a Quest-style synthetic dataset", kGenFlags, CmdGen},
+    {"convert", "convert between FIMI text and the binary database format",
+     kConvertFlags, CmdConvert},
+    {"build", "build a BBS index over a database", kBuildFlags, CmdBuild},
+    {"stats", "show database / index statistics", kStatsFlags, CmdStats},
+    {"mine", "mine frequent patterns (SFS/SFP/DFS/DFP/apriori/fpgrowth/eclat)",
+     kMineFlags, CmdMine},
+    {"count", "exact count of an itemset (optionally TID-constrained)",
+     kCountFlags, CmdCount},
+    {"client",
+     "one request to a bbsmined or bbsrouter; exit 0 ok, 1 error, 2 usage,\n"
+     "           3 transport, 4 backpressure, 5 indeterminate",
+     kClientFlags, CmdClient},
+    {"split", "cut a database into transaction ranges for a bbsrouter fleet",
+     kSplitFlags, CmdSplit},
+    {"rules", "mine association rules", kRulesFlags, CmdRules},
+    {"approx", "approximate patterns from the index alone (no refinement)",
+     kApproxFlags, CmdApprox},
+};
+
+std::string CommandList() {
+  std::string list =
       "usage: bbsmine <command> [--flag value | --flag=value ...]\n"
-      "commands:\n"
-      "  gen      --out FILE [--txns N] [--items N] [--t F] [--i F]\n"
-      "           [--patterns N] [--seed N]\n"
-      "  convert  --in FILE --out FILE      (.fimi/.dat = text, else binary)\n"
-      "  build    --db FILE --out FILE [--bits N] [--hashes N]\n"
-      "           [--hash md5|mult|mod] [--seed N]\n"
-      "           [--segment-capacity N]  (segmented index: one file per\n"
-      "           segment plus OUT.manifest; the format bbsmined serves)\n"
-      "  stats    [--db FILE] [--index FILE]\n"
-      "  mine     --db FILE [--index FILE] [--algo sfs|sfp|dfs|dfp|apriori|\n"
-      "           fpgrowth|eclat] [--minsup F] [--budget BYTES] [--top N]\n"
-      "           [--threads N]  (0 = one per hardware thread; BBS algos\n"
-      "           only; the pattern set is identical at any thread count)\n"
-      "           [--closed | --maximal] [--out FILE]\n"
-      "           [--stats-json FILE]  (schema-versioned JSON run report)\n"
-      "           [--report]           (human-readable run-report table)\n"
-      "           [--trace-out FILE]   (Chrome trace-event JSON; view at\n"
-      "           chrome://tracing or ui.perfetto.dev; BBS algos only)\n"
-      "           [--trace-kernels]    (also trace per-kernel-call spans)\n"
-      "           [--index-backend resident|mmap]  (mmap serves the v2\n"
-      "           aligned index in place: near-zero heap, pages faulted on\n"
-      "           demand; results are bit-identical to resident)\n"
-      "  count    --db FILE --index FILE --items A,B,C [--tid-mod M:R]\n"
-      "           (omit --db for the estimate-only oracle over a saved\n"
-      "           index or segmented-index prefix)\n"
-      "           [--index-backend resident|mmap]\n"
-      "  client   [--host A] [--port N] [--verb PING|COUNT|MINE|INSERT|\n"
-      "           STATS|CHECKPOINT|DUMP|SHARDINFO] [--items A,B,C]\n"
-      "           [--minsup F]\n"
-      "           [--top N] [--trace-id ID] (tag the request's spans,\n"
-      "           slow-log line, and flight-recorder event)\n"
-      "           [--json] [--retries N] [--backoff-ms N]\n"
-      "           [--max-backoff-ms N] [--timeout-ms N]\n"
-      "           (talks to a running bbsmined; retries Unavailable with\n"
-      "           exponential backoff; response timeouts retry only for\n"
-      "           idempotent verbs; exit 0 ok, 1 application error,\n"
-      "           3 transport error, 4 backpressure retries exhausted,\n"
-      "           5 indeterminate: INSERT sent but response timed out)\n"
-      "  split    --db FILE --shards N --out-prefix P\n"
-      "           (contiguous transaction-range partition for a bbsrouter\n"
-      "           fleet: writes P.0.db .. P.N-1.db; concatenating them in\n"
-      "           shard order reproduces the input exactly)\n"
-      "  rules    --db FILE [--minsup F] [--minconf F] [--top N]\n"
-      "  approx   --db FILE --index FILE [--minsup F] [--minconf F]\n"
-      "           [--top N]\n";
+      "commands (bbsmine <command> --help lists its flags):\n";
+  for (const Command& command : kCommands) {
+    char line[128];
+    std::snprintf(line, sizeof(line), "  %-9s", command.name);
+    list += line;
+    list += command.summary;
+    list += '\n';
+  }
+  return list;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
-    return 2;
+  const std::string name = argc > 1 ? argv[1] : "";
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    const std::string usage = "usage: bbsmine " + name +
+                              " [--flag value | --flag=value ...]\n" +
+                              command.summary;
+    const Flags args = ParseFlagsOrExit(("bbsmine " + name).c_str(), usage,
+                                        command.flags, argc, argv, 2);
+    return command.run(args);
   }
-  std::string command = argv[1];
-  Args args(argc, argv, 2);
-  if (command == "gen") return CmdGen(args);
-  if (command == "convert") return CmdConvert(args);
-  if (command == "build") return CmdBuild(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "mine") return CmdMine(args);
-  if (command == "count") return CmdCount(args);
-  if (command == "client") return CmdClient(args);
-  if (command == "split") return CmdSplit(args);
-  if (command == "rules") return CmdRules(args);
-  if (command == "approx") return CmdApprox(args);
-  Usage();
+  if (name == "--help" || name == "-h") {
+    std::cout << CommandList();
+    return 0;
+  }
+  std::cerr << CommandList();
   return 2;
 }

@@ -19,9 +19,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <sys/stat.h>
@@ -29,6 +27,7 @@
 
 #include <memory>
 
+#include "cluster/shard_map.h"
 #include "core/bbs_index.h"
 #include "core/segmented_bbs.h"
 #include "obs/json.h"
@@ -38,10 +37,13 @@
 #include "service/server.h"
 #include "storage/transaction_db.h"
 #include "util/fault_injector.h"
+#include "util/flags.h"
 
 using namespace bbsmine;
 
 namespace {
+
+using enum FlagType;
 
 std::atomic<bool> g_stop{false};
 
@@ -67,50 +69,6 @@ void CrashDumpHook() {
   }
 }
 
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmine CLI parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "bbsmined: " << status.ToString() << "\n";
   std::exit(1);
@@ -132,97 +90,58 @@ uint64_t LoadTermFile(const std::string& path) {
   return term;
 }
 
-/// Parses "host:port" for --follow.
-bool ParseHostPort(const std::string& spec, std::string* host,
-                   uint16_t* port) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return false;
-  }
-  unsigned long parsed = std::strtoul(spec.c_str() + colon + 1, nullptr, 10);
-  if (parsed == 0 || parsed > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return true;
-}
-
-void Usage() {
-  std::cerr <<
-      "usage: bbsmined [--flag value | --flag=value ...]\n"
-      "  --index PREFIX      saved index: a SegmentedBbs prefix (loads\n"
-      "                      PREFIX.manifest) or a monolithic .bbs file\n"
-      "                      (wrapped as one sealed segment)\n"
-      "  --db FILE           transaction database; enables MINE and keeps\n"
-      "                      INSERTed transactions for exact mining\n"
-      "  --bits N            when no --index: create empty (default 1600)\n"
-      "  --hashes N          when no --index: hashes per item (default 4)\n"
-      "  --segment-capacity N  transactions per segment (default 4096)\n"
-      "  --index-backend B   resident (default: heap slices, fully\n"
-      "                      verified at load) or mmap (serve the v2\n"
-      "                      aligned index in place: near-zero heap, pages\n"
-      "                      faulted on demand; answers are bit-identical;\n"
-      "                      incompatible with --durable-dir)\n"
-      "  --compact-cold-epochs N  with --compact-fold-bits: after each\n"
-      "                      INSERT, fold sealed segments untouched for N\n"
-      "                      publication epochs (counts become upper\n"
-      "                      bounds; default off)\n"
-      "  --compact-fold-bits M  fold target width for cold segments\n"
-      "  --host A.B.C.D      bind address (default 127.0.0.1)\n"
-      "  --port N            TCP port; 0 = ephemeral (default 7071)\n"
-      "  --threads N         threads per COUNT batch, the caller's included\n"
-      "                      (0 = hw threads; 1 = no worker threads)\n"
-      "  --max-pending N     admission-queue bound (default 1024)\n"
-      "  --max-batch N       requests fused per batch (default 256)\n"
-      "  --minsup F          default MINE minimum support (default 0.003)\n"
-      "  --report-out FILE   write the service report on shutdown\n"
-      "  --trace-out FILE    write a Chrome trace of sampled requests on\n"
-      "                      shutdown (load in Perfetto)\n"
-      "  --trace-sample N    trace 1-in-N requests (default 1 when\n"
-      "                      --trace-out is set, else off)\n"
-      "  --slow-log FILE     append one JSON line per slow request\n"
-      "  --slow-query-us N   slow-query threshold, microseconds (default\n"
-      "                      10000; 0 logs every request)\n"
-      "  --flight-recorder-size N  per-connection flight-ring capacity in\n"
-      "                      events (default 64; 0 disables DUMP)\n"
-      "  --flight-out FILE   write the flight-recorder dump on shutdown\n"
-      "                      and from the fault-injection crash path\n"
-      "  --stats-window-s N  windowed-metrics rotation interval, seconds\n"
-      "                      (default 10; 12 slots are retained)\n"
-      "  --durable-dir DIR   crash-safe durability: WAL + checkpoints in\n"
-      "                      DIR; recovers state from DIR on startup\n"
-      "  --fsync POLICY      WAL fsync policy: always | none | every=N\n"
-      "                      (default always)\n"
-      "  --checkpoint-every N  auto-checkpoint after N inserted\n"
-      "                      transactions; 0 = manual only (default 4096)\n"
-      "  --follow HOST:PORT  run as a warm follower of that primary: tail\n"
-      "                      its WAL over WALSTREAM, apply locally, reject\n"
-      "                      INSERT until PROMOTE (requires --durable-dir)\n"
-      "  --repl-ack          semi-sync: withhold INSERT acks until the\n"
-      "                      follower has the record (requires\n"
-      "                      --durable-dir; see docs/CLUSTER.md)\n"
-      "  --repl-ack-timeout-ms N  semi-sync ack wait before degrading the\n"
-      "                      response to replicated=false (default 1000)\n";
-}
+const FlagSpec kFlags[] = {
+    {"index", kString, "", "saved index: SegmentedBbs prefix or .bbs file"},
+    {"db", kString, "", "transaction database; enables MINE"},
+    {"bits", kUint, "1600", "bits when no --index (empty index)",
+     0, kUint32FlagMax},
+    {"hashes", kUint, "4", "hashes when no --index", 0, kUint32FlagMax},
+    {"segment-capacity", kUint, "4096", "transactions per segment", 1},
+    {"index-backend", kString, "resident",
+     "resident | mmap (v2 index served in place; not with --durable-dir)"},
+    {"compact-cold-epochs", kUint, "0",
+     "fold sealed segments idle this many epochs (0 = off)"},
+    {"compact-fold-bits", kUint, "0", "fold width for cold segments",
+     0, kUint32FlagMax},
+    {"host", kString, "127.0.0.1", "bind address"},
+    {"port", kUint, "7071", "TCP port; 0 = ephemeral", 0, kPortFlagMax},
+    {"threads", kUint, "0", "threads per COUNT batch (0 = hw threads)",
+     0, kThreadsFlagMax},
+    {"max-pending", kUint, "1024", "admission-queue bound"},
+    {"max-batch", kUint, "256", "requests fused per batch"},
+    {"minsup", kDouble, "0.003", "default MINE minimum support", 0, 1},
+    {"report-out", kString, "", "write the service report on shutdown"},
+    {"trace-out", kString, "", "write a Chrome trace on shutdown"},
+    {"trace-sample", kUint, "1", "with --trace-out, trace 1-in-N requests"},
+    {"slow-log", kString, "", "append one JSON line per slow request"},
+    {"slow-query-us", kUint, "10000", "slow-query threshold (0 = log all)"},
+    {"flight-recorder-size", kUint, "64",
+     "flight-ring events per connection (0 disables DUMP)"},
+    {"flight-out", kString, "", "write the flight dump on shutdown/crash"},
+    {"stats-window-s", kUint, "10", "windowed-metrics interval, seconds", 1},
+    {"durable-dir", kString, "", "WAL + checkpoints here; recover on start"},
+    {"fsync", kString, "always", "WAL fsync: always | none | every=N"},
+    {"checkpoint-every", kUint, "4096",
+     "auto-checkpoint after N inserts (0 = manual)"},
+    {"follow", kString, "",
+     "HOST:PORT of a primary to follow (needs --durable-dir)"},
+    {"repl-ack", kBool, "",
+     "semi-sync INSERT acks (needs --durable-dir)"},
+    {"repl-ack-timeout-ms", kUint, "1000",
+     "semi-sync ack wait before replicated=false", 0, kIntFlagMax},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
+  const Flags args = ParseFlagsOrExit(
+      "bbsmined", "usage: bbsmined [--flag value | --flag=value ...]", kFlags,
+      argc, argv, 1);
 
-  uint64_t segment_capacity = args.GetUint("segment-capacity", 4096);
-  if (segment_capacity == 0) {
-    std::cerr << "bbsmined: --segment-capacity must be positive\n";
-    return 2;
-  }
+  const uint64_t segment_capacity = args.GetUint("segment-capacity");
 
   auto backend_flag =
-      ParseIndexBackend(args.GetString("index-backend", "resident"));
+      ParseIndexBackend(args.GetString("index-backend"));
   if (!backend_flag.ok()) {
     std::cerr << "bbsmined: " << backend_flag.status().ToString() << "\n";
     return 2;
@@ -268,8 +187,8 @@ int main(int argc, char** argv) {
       bootstrap.emplace(std::move(*segmented));
     } else {
       BbsConfig config;
-      config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-      config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
+      config.num_bits = static_cast<uint32_t>(args.GetUint("bits"));
+      config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes"));
       auto empty = SegmentedBbs::Create(config, segment_capacity);
       if (!empty.ok()) Die(empty.status());
       bootstrap.emplace(std::move(*empty));
@@ -288,9 +207,9 @@ int main(int argc, char** argv) {
 
     service::DurabilityOptions durable_options;
     durable_options.dir = durable_dir;
-    durable_options.checkpoint_every = args.GetUint("checkpoint-every", 4096);
+    durable_options.checkpoint_every = args.GetUint("checkpoint-every");
     if (Status parsed = service::ParseFsyncSpec(
-            args.GetString("fsync", "always"), &durable_options.wal);
+            args.GetString("fsync"), &durable_options.wal);
         !parsed.ok()) {
       std::cerr << "bbsmined: " << parsed.ToString() << "\n";
       return 2;
@@ -336,8 +255,8 @@ int main(int argc, char** argv) {
     }
   } else {
     BbsConfig config;
-    config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-    config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
+    config.num_bits = static_cast<uint32_t>(args.GetUint("bits"));
+    config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes"));
     auto manager = service::SnapshotManager::Create(config, segment_capacity);
     if (!manager.ok()) Die(manager.status());
     index.emplace(std::move(*manager));
@@ -360,8 +279,7 @@ int main(int argc, char** argv) {
   // Observability plane: tracer, slow-query log, flight recorder, window
   // shape. All off (or passive) unless their flags are given.
   const std::string trace_out = args.GetString("trace-out");
-  uint64_t trace_sample =
-      args.GetUint("trace-sample", trace_out.empty() ? 0 : 1);
+  const uint64_t trace_sample = args.GetUint("trace-sample");
   std::unique_ptr<obs::Tracer> tracer;
   if (!trace_out.empty() && trace_sample > 0) {
     tracer = std::make_unique<obs::Tracer>(obs::kTraceService);
@@ -372,23 +290,19 @@ int main(int argc, char** argv) {
     if (!opened.ok()) Die(opened.status());
     slow_log = std::move(*opened);
   }
-  const uint64_t flight_size = args.GetUint("flight-recorder-size", 64);
+  const uint64_t flight_size = args.GetUint("flight-recorder-size");
   std::unique_ptr<service::FlightRecorder> flight_recorder;
   if (flight_size > 0) {
     flight_recorder = std::make_unique<service::FlightRecorder>(flight_size);
   }
   const std::string flight_out = args.GetString("flight-out");
-  const uint64_t stats_window_s = args.GetUint("stats-window-s", 10);
-  if (stats_window_s == 0) {
-    std::cerr << "bbsmined: --stats-window-s must be positive\n";
-    return 2;
-  }
+  const uint64_t stats_window_s = args.GetUint("stats-window-s");
 
   // Replication wiring (docs/CLUSTER.md): a durable daemon is a primary
   // (serves WALSTREAM); --follow makes it a warm follower instead. Both
   // need the durable directory — the stream's positions are WAL positions.
   const std::string follow_arg = args.GetString("follow");
-  const bool repl_ack = args.GetString("repl-ack") == "true";
+  const bool repl_ack = args.GetBool("repl-ack");
   if ((!follow_arg.empty() || repl_ack) && durable_dir.empty()) {
     std::cerr << "bbsmined: --follow and --repl-ack require --durable-dir\n";
     return 2;
@@ -406,13 +320,16 @@ int main(int argc, char** argv) {
         source_options);
   }
   if (!follow_arg.empty()) {
-    service::ReplicationFollowerOptions follow_options;
-    if (!ParseHostPort(follow_arg, &follow_options.host,
-                       &follow_options.port)) {
-      std::cerr << "bbsmined: --follow expects HOST:PORT, got \""
-                << follow_arg << "\"\n";
+    Result<cluster::ShardEndpoint> primary =
+        cluster::ParseEndpoint(follow_arg);
+    if (!primary.ok()) {
+      std::cerr << "bbsmined: --follow: " << primary.status().message()
+                << "\n";
       return 2;
     }
+    service::ReplicationFollowerOptions follow_options;
+    follow_options.host = primary->host;
+    follow_options.port = primary->port;
     follower = std::make_unique<service::ReplicationFollower>(
         follow_options,
         [&index] {
@@ -425,21 +342,21 @@ int main(int argc, char** argv) {
   }
 
   service::ServiceOptions options;
-  options.scheduler.num_threads = args.GetUint("threads", 0);
-  options.scheduler.max_pending = args.GetUint("max-pending", 1024);
-  options.scheduler.max_batch = args.GetUint("max-batch", 256);
-  options.default_min_support = args.GetDouble("minsup", 0.003);
+  options.scheduler.num_threads = args.GetUint("threads");
+  options.scheduler.max_pending = args.GetUint("max-pending");
+  options.scheduler.max_batch = args.GetUint("max-batch");
+  options.default_min_support = args.GetDouble("minsup");
   options.durability = durability.get();
   options.index_backend = backend;
   options.tracer = tracer.get();
   options.trace_sample = trace_sample;
   options.slow_log = slow_log.get();
-  options.slow_query_us = args.GetUint("slow-query-us", 10000);
+  options.slow_query_us = args.GetUint("slow-query-us");
   options.flight_recorder = flight_recorder.get();
   options.stats_windows.interval_us = stats_window_s * 1'000'000;
-  options.compaction.cold_epochs = args.GetUint("compact-cold-epochs", 0);
+  options.compaction.cold_epochs = args.GetUint("compact-cold-epochs");
   options.compaction.fold_bits =
-      static_cast<uint32_t>(args.GetUint("compact-fold-bits", 0));
+      static_cast<uint32_t>(args.GetUint("compact-fold-bits"));
   if (options.compaction.cold_epochs != 0 ||
       options.compaction.fold_bits != 0) {
     if (!options.compaction.enabled()) {
@@ -452,7 +369,7 @@ int main(int argc, char** argv) {
   options.follower = follower.get();
   options.repl_ack = repl_ack;
   options.repl_ack_timeout_ms =
-      static_cast<int>(args.GetUint("repl-ack-timeout-ms", 1000));
+      static_cast<int>(args.GetUint("repl-ack-timeout-ms"));
   if (!durable_dir.empty()) {
     options.term_file = durable_dir + "/term";
     options.term = LoadTermFile(options.term_file);
@@ -474,15 +391,9 @@ int main(int argc, char** argv) {
     FaultInjector::SetCrashHook(CrashDumpHook);
   }
 
-  const uint64_t port = args.GetUint("port", 7071);
-  if (port > 65535) {
-    std::cerr << "bbsmined: --port must be in [0, 65535], got " << port
-              << "\n";
-    return 2;
-  }
   service::SocketServerOptions server_options;
-  server_options.host = args.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(port);
+  server_options.host = args.GetString("host");
+  server_options.port = static_cast<uint16_t>(args.GetUint("port"));
   service::SocketServer server(&bbs_service, server_options);
   if (Status started = server.Start(); !started.ok()) Die(started);
 

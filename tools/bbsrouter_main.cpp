@@ -19,9 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -29,129 +27,74 @@
 #include "cluster/shard_map.h"
 #include "obs/json.h"
 #include "service/server.h"
+#include "util/flags.h"
 
 using namespace bbsmine;
 
 namespace {
 
+using enum FlagType;
+
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_release); }
-
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmined parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "bbsrouter: " << status.ToString() << "\n";
   std::exit(1);
 }
 
-void Usage() {
-  std::cerr <<
-      "usage: bbsrouter (--shards LIST | --shard-map FILE) [--flag value ...]\n"
-      "  --shards H:P[/H:P],...  comma-separated shard endpoints, in\n"
-      "                      transaction-range order (shard 0 holds the\n"
-      "                      first range; INSERTs route to the last). An\n"
-      "                      optional /host:port names the shard's warm\n"
-      "                      replica (a bbsmined --follow of the primary);\n"
-      "                      the router promotes it when the primary dies\n"
-      "  --shard-map FILE    one host:port[/host:port] per line ('#'\n"
-      "                      comments); same ordering contract\n"
-      "  --host A.B.C.D      bind address (default 127.0.0.1)\n"
-      "  --port N            TCP port; 0 = ephemeral (default 7070)\n"
-      "  --fanout-deadline-ms N  per-leg downstream budget (default 5000)\n"
-      "  --hedge-ms N        re-issue an idempotent leg on a fresh\n"
-      "                      connection after N ms of silence (default 0 =\n"
-      "                      no hedging)\n"
-      "  --retries N         backpressure retries per leg (default 3)\n"
-      "  --backoff-ms N      base backpressure backoff (default 100)\n"
-      "  --max-backoff-ms N  backoff cap (default 5000)\n"
-      "  --no-prune          disable Bloofi pruning (fan out everywhere;\n"
-      "                      answers are identical, just slower)\n"
-      "  --branching N       Bloofi tree fan-in (default 4)\n"
-      "  --require-all       answer Unavailable instead of degraded when a\n"
-      "                      shard is unreachable\n"
-      "  --minsup F          default MINE minimum support (default 0.003)\n"
-      "  --mine-top N        default MINE result cap (default 10)\n"
-      "  --mine-round1-top N round-1 'top' sent to shards; must exceed any\n"
-      "                      shard's local frequent-set size (default 5e7)\n"
-      "  --connect-retries N startup handshake attempts per shard\n"
-      "                      (default 40, spaced --connect-backoff-ms)\n"
-      "  --connect-backoff-ms N  handshake retry spacing (default 250)\n"
-      "  --probe-interval-ms N  background re-probe cadence for down\n"
-      "                      shards; drives failover and rejoin without\n"
-      "                      client traffic (default 1000; 0 disables)\n"
-      "  --probe-timeout-ms N  per-probe SHARDINFO budget (default 1000)\n"
-      "  --failover-probe-failures N  consecutive silent (timed-out)\n"
-      "                      probes of a primary before promoting its\n"
-      "                      replica; transport failures (connection\n"
-      "                      refused/reset) fail over immediately\n"
-      "                      (default 3)\n"
-      "  --report-out FILE   write the service report on shutdown\n"
-      "  --stats-window-s N  windowed-metrics rotation interval, seconds\n"
-      "                      (default 10; 12 slots are retained)\n";
-}
+const char kUsage[] =
+    "usage: bbsrouter (--shards LIST | --shard-map FILE) [--flag value ...]";
+
+const FlagSpec kFlags[] = {
+    {"shards", kString, "",
+     "H:P[/H:P],... endpoints (/replica optional) in range order"},
+    {"shard-map", kString, "", "file of one H:P[/H:P] per line"},
+    {"host", kString, "127.0.0.1", "bind address"},
+    {"port", kUint, "7070", "TCP port; 0 = ephemeral", 0, kPortFlagMax},
+    {"fanout-deadline-ms", kUint, "5000", "per-leg downstream budget",
+     0, kIntFlagMax},
+    {"hedge-ms", kUint, "0", "re-issue a silent idempotent leg (0 = off)",
+     0, kIntFlagMax},
+    {"retries", kUint, "3", "backpressure retries per leg",
+     0, kUint32FlagMax},
+    {"backoff-ms", kUint, "100", "base backpressure backoff",
+     0, kUint32FlagMax},
+    {"max-backoff-ms", kUint, "5000", "backoff cap", 0, kUint32FlagMax},
+    {"no-prune", kBool, "", "disable Bloofi pruning (same answers)"},
+    {"branching", kUint, "4", "Bloofi tree fan-in"},
+    {"require-all", kBool, "", "answer Unavailable, not degraded"},
+    {"minsup", kDouble, "0.003", "default MINE minimum support", 0, 1},
+    {"mine-top", kUint, "10", "default MINE result cap"},
+    {"mine-round1-top", kUint, "50000000",
+     "round-1 'top'; must exceed any shard's frequent-set size"},
+    {"connect-retries", kUint, "40", "startup handshake attempts per shard",
+     0, kUint32FlagMax},
+    {"connect-backoff-ms", kUint, "250", "handshake retry spacing",
+     0, kUint32FlagMax},
+    {"probe-interval-ms", kUint, "1000", "down-shard probe cadence (0 = off)",
+     0, kUint32FlagMax},
+    {"probe-timeout-ms", kUint, "1000", "per-probe budget", 0, kIntFlagMax},
+    {"failover-probe-failures", kUint, "3",
+     "silent probes before promoting a replica", 0, kUint32FlagMax},
+    {"report-out", kString, "", "write the service report on shutdown"},
+    {"stats-window-s", kUint, "10", "windowed-metrics interval, seconds", 1},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
+  const Flags args =
+      ParseFlagsOrExit("bbsrouter", kUsage, kFlags, argc, argv, 1);
 
   cluster::ShardMap map;
   const std::string shards_flag = args.GetString("shards");
   const std::string map_flag = args.GetString("shard-map");
   if (shards_flag.empty() == map_flag.empty()) {
     std::cerr << "bbsrouter: exactly one of --shards or --shard-map is "
-                 "required\n";
-    Usage();
+                 "required\n"
+              << kUsage << "\n";
     return 2;
   }
   if (!shards_flag.empty()) {
@@ -164,52 +107,40 @@ int main(int argc, char** argv) {
     map = std::move(*loaded);
   }
 
-  const uint64_t stats_window_s = args.GetUint("stats-window-s", 10);
-  if (stats_window_s == 0) {
-    std::cerr << "bbsrouter: --stats-window-s must be positive\n";
-    return 2;
-  }
-
   cluster::RouterOptions options;
-  options.retry.retries = static_cast<uint32_t>(args.GetUint("retries", 3));
-  options.retry.backoff_ms =
-      static_cast<uint32_t>(args.GetUint("backoff-ms", 100));
+  options.retry.retries = static_cast<uint32_t>(args.GetUint("retries"));
+  options.retry.backoff_ms = static_cast<uint32_t>(args.GetUint("backoff-ms"));
   options.retry.max_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("max-backoff-ms", 5000));
+      static_cast<uint32_t>(args.GetUint("max-backoff-ms"));
   options.fanout_deadline_ms =
-      static_cast<int>(args.GetUint("fanout-deadline-ms", 5000));
-  options.hedge_ms = static_cast<int>(args.GetUint("hedge-ms", 0));
-  options.prune = !args.Has("no-prune");
-  options.branching = args.GetUint("branching", 4);
-  options.allow_degraded = !args.Has("require-all");
-  options.default_min_support = args.GetDouble("minsup", 0.003);
-  options.mine_top = args.GetUint("mine-top", 10);
-  options.mine_round1_top = args.GetUint("mine-round1-top", 50'000'000);
+      static_cast<int>(args.GetUint("fanout-deadline-ms"));
+  options.hedge_ms = static_cast<int>(args.GetUint("hedge-ms"));
+  options.prune = !args.GetBool("no-prune");
+  options.branching = args.GetUint("branching");
+  options.allow_degraded = !args.GetBool("require-all");
+  options.default_min_support = args.GetDouble("minsup");
+  options.mine_top = args.GetUint("mine-top");
+  options.mine_round1_top = args.GetUint("mine-round1-top");
   options.connect_retries =
-      static_cast<uint32_t>(args.GetUint("connect-retries", 40));
+      static_cast<uint32_t>(args.GetUint("connect-retries"));
   options.connect_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("connect-backoff-ms", 250));
+      static_cast<uint32_t>(args.GetUint("connect-backoff-ms"));
   options.probe_interval_ms =
-      static_cast<uint32_t>(args.GetUint("probe-interval-ms", 1000));
+      static_cast<uint32_t>(args.GetUint("probe-interval-ms"));
   options.probe_timeout_ms =
-      static_cast<int>(args.GetUint("probe-timeout-ms", 1000));
+      static_cast<int>(args.GetUint("probe-timeout-ms"));
   options.failover_probe_failures =
-      static_cast<uint32_t>(args.GetUint("failover-probe-failures", 3));
-  options.stats_windows.interval_us = stats_window_s * 1'000'000;
+      static_cast<uint32_t>(args.GetUint("failover-probe-failures"));
+  options.stats_windows.interval_us =
+      args.GetUint("stats-window-s") * 1'000'000;
 
   const size_t num_shards = map.size();
   cluster::RouterService router(std::move(map), options);
   if (Status initialized = router.Init(); !initialized.ok()) Die(initialized);
 
-  const uint64_t port = args.GetUint("port", 7070);
-  if (port > 65535) {
-    std::cerr << "bbsrouter: --port must be in [0, 65535], got " << port
-              << "\n";
-    return 2;
-  }
   service::SocketServerOptions server_options;
-  server_options.host = args.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(port);
+  server_options.host = args.GetString("host");
+  server_options.port = static_cast<uint16_t>(args.GetUint("port"));
   service::SocketServer server(&router, server_options);
   if (Status started = server.Start(); !started.ok()) Die(started);
 
