@@ -26,6 +26,11 @@ namespace {
 constexpr char kMagicV2[8] = {'B', 'B', 'S', 'I', 'D', 'X', '0', '2'};
 constexpr uint32_t kFormatVersionV2 = 2;
 
+// Slice words go to and from the file (and its mapping) as they lie in
+// memory, so the host's byte order must be the format's.
+static_assert(std::endian::native == std::endian::little,
+              "the v2 layout is little-endian");
+
 /// On-disk alignment of every slice's word array (cache line / AVX-512).
 constexpr uint64_t kSliceAlignment = 64;
 
@@ -87,8 +92,10 @@ struct V2Header {
   }
 };
 
-Status ParseV2Header(std::string_view file, const std::string& path,
-                     V2Header* h) {
+/// `file` holds the file's first bytes: all of them through the slice data
+/// offset when that offset lies inside the file (`file_size` bytes long).
+Status ParseV2Header(std::string_view file, uint64_t file_size,
+                     const std::string& path, V2Header* h) {
   if (file.size() < kV2ArraysOffset) {
     return Status::Corruption("truncated header in " + path);
   }
@@ -115,7 +122,7 @@ Status ParseV2Header(std::string_view file, const std::string& path,
     return Status::Corruption("unsupported format version " +
                               std::to_string(version));
   }
-  if (h->data_offset < kV2ArraysOffset || h->data_offset > file.size()) {
+  if (h->data_offset < kV2ArraysOffset || h->data_offset > file_size) {
     return Status::Corruption("slice data offset out of bounds in " + path);
   }
   // The header CRC covers everything between the prelude and the slice
@@ -157,7 +164,7 @@ Status ParseV2Header(std::string_view file, const std::string& path,
   if (h->data_offset != RoundUpToAlignment(meta_end)) {
     return Status::Corruption("misaligned slice data offset in " + path);
   }
-  const uint64_t data_bytes = file.size() - h->data_offset;
+  const uint64_t data_bytes = file_size - h->data_offset;
   if (h->stride_bytes == 0) {
     if (data_bytes != 0) {
       return Status::Corruption("index size mismatch in " + path);
@@ -198,6 +205,18 @@ Status ReadV2Arrays(std::string_view file, const std::string& path,
   }
   return Status::Ok();
 }
+
+/// Offset of the data_offset field in the fixed header.
+constexpr size_t kDataOffsetField = 68;
+
+/// Collects a WriteImage into one string (Serialize).
+struct StringSink {
+  std::string* out;
+  Status Append(std::string_view bytes) {
+    out->append(bytes);
+    return Status::Ok();
+  }
+};
 
 ChunkedArray<uint32_t> ToChunked(const std::vector<uint32_t>& values) {
   ChunkedArray<uint32_t> out;
@@ -618,7 +637,17 @@ void BbsIndex::ChargeFullScan(IoStats* io, uint32_t block_size) const {
   }
 }
 
-std::string BbsIndex::Serialize() const {
+BbsIndex::MemoryBytes BbsIndex::Memory() const {
+  MemoryBytes bytes;
+  bytes.slices = source_->ApproxResidentBytes();
+  bytes.signature_bits = signature_bits_.StorageBytes();
+  bytes.popcounts = slice_popcount_.capacity() * sizeof(size_t);
+  bytes.item_counts = item_counts_.capacity() * sizeof(uint64_t);
+  return bytes;
+}
+
+template <typename Sink>
+Status BbsIndex::WriteImage(Sink* out) const {
   const uint32_t bits = num_bits();
   const size_t wps = WordsPerSlice();
   const uint64_t stride = RoundUpToAlignment(wps * sizeof(Word));
@@ -627,16 +656,19 @@ std::string BbsIndex::Serialize() const {
                             4 * num_transactions_;
   const uint64_t data_offset = RoundUpToAlignment(meta_end);
 
-  // Slice area first so its checksum can be embedded in the metadata. Each
-  // slice's words are zero-padded to the 64-byte stride.
-  std::string data;
-  data.reserve(static_cast<size_t>(bits) * stride);
+  // One slice's on-disk bytes at a time: its words, zero-padded to the
+  // 64-byte stride. The slice area's checksum is embedded in the metadata,
+  // which precedes it, so a first pass computes it and a second writes.
+  std::vector<Word> piece(stride / sizeof(Word), 0);
+  auto slice_piece = [&](uint32_t pos) {
+    Slice(pos).CopyTo(piece.data());  // words past wps stay zero
+    return std::string_view(reinterpret_cast<const char*>(piece.data()),
+                            stride);
+  };
+  uint32_t data_crc = 0;
   for (uint32_t pos = 0; pos < bits; ++pos) {
-    const SliceView slice = Slice(pos);
-    for (size_t w = 0; w < wps; ++w) AppendU64(&data, slice.word(w));
-    data.append(stride - wps * sizeof(Word), '\0');
+    data_crc = Crc32(slice_piece(pos), data_crc);
   }
-  const uint32_t data_crc = Crc32(data);
 
   std::string meta;
   meta.reserve(static_cast<size_t>(data_offset - 16));
@@ -661,46 +693,65 @@ std::string BbsIndex::Serialize() const {
   }
   meta.append(static_cast<size_t>(data_offset - meta_end), '\0');
 
+  std::string prelude(kMagicV2, sizeof(kMagicV2));
+  AppendU32(&prelude, kFormatVersionV2);
+  AppendU32(&prelude, Crc32(meta));
+  BBSMINE_RETURN_IF_ERROR(out->Append(prelude));
+  BBSMINE_RETURN_IF_ERROR(out->Append(meta));
+  for (uint32_t pos = 0; pos < bits; ++pos) {
+    BBSMINE_RETURN_IF_ERROR(out->Append(slice_piece(pos)));
+  }
+  return Status::Ok();
+}
+
+std::string BbsIndex::Serialize() const {
   std::string file;
-  file.reserve(16 + meta.size() + data.size());
-  file.append(kMagicV2, sizeof(kMagicV2));
-  AppendU32(&file, kFormatVersionV2);
-  AppendU32(&file, Crc32(meta));
-  file += meta;
-  file += data;
+  file.reserve(static_cast<size_t>(kV2ArraysOffset + SerializedBytes()));
+  StringSink sink{&file};
+  (void)WriteImage(&sink);  // appending to a string cannot fail
   return file;
 }
 
-Status BbsIndex::Save(const std::string& path) const {
-  return WriteBinaryFile(path, Serialize());
+Status BbsIndex::Save(const std::string& path, const WriteFileOptions& options,
+                      uint32_t* file_crc) const {
+  Result<FileWriter> out = FileWriter::Open(path, options);
+  if (!out.ok()) return out.status();
+  BBSMINE_RETURN_IF_ERROR(WriteImage(&*out));
+  const uint32_t crc = out->crc();
+  BBSMINE_RETURN_IF_ERROR(out->Commit());
+  if (file_crc != nullptr) *file_crc = crc;
+  return Status::Ok();
 }
 
-Result<BbsIndex> BbsIndex::Load(const std::string& path) {
-  Result<std::string> contents = ReadBinaryFile(path);
-  if (!contents.ok()) return contents.status();
-  return Deserialize(*contents, path);
-}
-
-Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
-                                       const std::string& path) {
-  if (file.size() < sizeof(kMagicV2) ||
-      std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
+Result<BbsIndex> BbsIndex::ReadImage(FileReader* in, const std::string& path,
+                                     bool one_block, uint64_t capacity,
+                                     uint32_t* file_crc) {
+  const uint64_t file_size = in->size();
+  std::string head(std::min<uint64_t>(file_size, kV2ArraysOffset), '\0');
+  BBSMINE_RETURN_IF_ERROR(in->Read(head.data(), head.size(), "header"));
+  if (head.size() < sizeof(kMagicV2) ||
+      std::memcmp(head.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::Corruption("bad magic in " + path);
   }
-  V2Header header;
-  BBSMINE_RETURN_IF_ERROR(ParseV2Header(file, path, &header));
-  // Resident loads read every slice anyway, so the full data checksum is
-  // verified here. The mmap path skips this (it would fault every page) and
-  // relies on the header CRC + structural bounds instead.
-  if (Crc32(std::string_view(file.data() + header.data_offset,
-                             file.size() - header.data_offset)) !=
-      header.data_crc) {
-    return Status::Corruption("slice data checksum mismatch in " + path);
+  // The metadata arrays run up to the slice data. Read them only when that
+  // offset lies inside the file; ParseV2Header rejects any other offset.
+  if (head.size() == kV2ArraysOffset) {
+    size_t pos = kDataOffsetField;
+    uint64_t data_offset = 0;
+    ReadU64(head, &pos, &data_offset);
+    if (data_offset > kV2ArraysOffset && data_offset <= file_size) {
+      head.resize(static_cast<size_t>(data_offset));
+      BBSMINE_RETURN_IF_ERROR(in->Read(head.data() + kV2ArraysOffset,
+                                       head.size() - kV2ArraysOffset,
+                                       "header"));
+    }
   }
+  V2Header header;
+  BBSMINE_RETURN_IF_ERROR(ParseV2Header(head, file_size, path, &header));
   std::vector<uint64_t> item_counts;
   std::vector<size_t> popcounts;
   std::vector<uint32_t> signature_bits;
-  BBSMINE_RETURN_IF_ERROR(ReadV2Arrays(file, path, header, &item_counts,
+  BBSMINE_RETURN_IF_ERROR(ReadV2Arrays(head, path, header, &item_counts,
                                        &popcounts, &signature_bits));
 
   Result<BloomHashFamily> family = BloomHashFamily::Create(
@@ -708,34 +759,81 @@ Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
       header.config.hash_kind, header.config.seed);
   if (!family.ok()) return family.status();
 
-  BbsIndex index(header.config, std::move(family).value(), header.folded);
-  index.num_transactions_ = header.num_transactions;
+  const size_t n = header.num_transactions;
+  std::unique_ptr<SliceSource> block;
+  if (one_block) {
+    block = std::make_unique<TailSliceSource>(
+        header.effective_bits(), std::max<uint64_t>(capacity, n), n);
+  }
+  BbsIndex index(header.config, std::move(family).value(), header.folded,
+                 std::move(block));
+  index.num_transactions_ = n;
   index.item_counts_ = std::move(item_counts);
 
+  // Slice by slice: the words go straight to their slice (through a
+  // one-slice buffer for BitVectors), and the padding up to the stride to
+  // a scratch line, so a block's spare words stay zero for later inserts.
+  // Both checksums see the bytes exactly as the file holds them.
+  TailSliceSource* tail = index.source_->AsTail();
   ResidentSliceSource* res = index.source_->AsResident();
   const size_t wps = header.words_per_slice;
-  std::vector<Word> slice_words(wps);
+  const size_t slice_bytes = wps * sizeof(Word);
+  const size_t pad_bytes = header.stride_bytes - slice_bytes;
+  std::vector<Word> scratch(tail != nullptr ? 0 : wps);
+  char pad[kSliceAlignment];
+  uint32_t data_crc = 0;
+  uint32_t whole_crc = file_crc != nullptr ? Crc32(head) : 0;
   for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
-    // memcpy: the slice bytes are 64-byte aligned in the *file*, but the
-    // in-memory string buffer carries no such guarantee.
-    std::memcpy(slice_words.data(),
-                file.data() + header.data_offset +
-                    static_cast<uint64_t>(pos) * header.stride_bytes,
-                wps * sizeof(Word));
-    BitVector& slice = res->slice(pos);
-    slice.AssignWords(slice_words.data(), wps, header.num_transactions);
+    Word* words = tail != nullptr ? tail->MutableWords(pos) : scratch.data();
+    BBSMINE_RETURN_IF_ERROR(in->Read(words, slice_bytes, "slice data"));
+    BBSMINE_RETURN_IF_ERROR(in->Read(pad, pad_bytes, "slice data"));
+    data_crc = Crc32(words, slice_bytes, data_crc);
+    data_crc = Crc32(pad, pad_bytes, data_crc);
+    if (file_crc != nullptr) {
+      whole_crc = Crc32(words, slice_bytes, whole_crc);
+      whole_crc = Crc32(pad, pad_bytes, whole_crc);
+    }
+    if (res != nullptr) {
+      res->slice(pos).AssignWords(words, wps, n);
+    } else if (n % BitVector::kWordBits != 0) {
+      // Bits past the last transaction are ignored, as AssignWords does.
+      words[wps - 1] &= (Word{1} << (n % BitVector::kWordBits)) - 1;
+    }
+  }
+  // Resident loads read every slice anyway, so the full data checksum is
+  // verified here. The mmap path skips this (it would fault every page) and
+  // relies on the header CRC + structural bounds instead.
+  if (data_crc != header.data_crc) {
+    return Status::Corruption("slice data checksum mismatch in " + path);
+  }
+  for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
     // The stored popcounts are what query planning trusts — cross-check
     // them against the actual slice data (load parity fix-up).
-    if (slice.Count() != popcounts[pos]) {
+    if (index.Slice(pos).Count() != popcounts[pos]) {
       return Status::Corruption("slice popcount mismatch in " + path);
     }
-    index.slice_popcount_[pos] = popcounts[pos];
   }
+  index.slice_popcount_ = std::move(popcounts);
   if (index.ComputeSignatureBits() != signature_bits) {
     return Status::Corruption("signature bits mismatch in " + path);
   }
   index.signature_bits_ = ToChunked(signature_bits);
+  if (file_crc != nullptr) *file_crc = whole_crc;
   return index;
+}
+
+Result<BbsIndex> BbsIndex::Load(const std::string& path) {
+  Result<FileReader> in = FileReader::Open(path);
+  if (!in.ok()) return in.status();
+  return ReadImage(&*in, path, /*one_block=*/false, 0, nullptr);
+}
+
+Result<BbsIndex> BbsIndex::LoadSegment(const std::string& path,
+                                       uint64_t capacity,
+                                       uint32_t* file_crc) {
+  Result<FileReader> in = FileReader::Open(path);
+  if (!in.ok()) return in.status();
+  return ReadImage(&*in, path, /*one_block=*/true, capacity, file_crc);
 }
 
 Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
@@ -755,7 +853,7 @@ Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
   // Only metadata pages are touched; slice data faults in lazily and its
   // checksum is deliberately not verified here.
   V2Header header;
-  BBSMINE_RETURN_IF_ERROR(ParseV2Header(file, path, &header));
+  BBSMINE_RETURN_IF_ERROR(ParseV2Header(file, file.size(), path, &header));
 
   std::vector<uint64_t> item_counts;
   std::vector<size_t> popcounts;

@@ -52,6 +52,7 @@
 #include "storage/transaction.h"
 #include "util/bitvector.h"
 #include "util/chunked_array.h"
+#include "util/file_io.h"
 #include "util/iomodel.h"
 #include "util/small_array.h"
 #include "util/status.h"
@@ -123,6 +124,25 @@ class BbsIndex {
   size_t ApproxResidentBytes() const {
     return source_->ApproxResidentBytes();
   }
+
+  /// Transactions this index can hold without moving a slice word: the
+  /// block capacity of a writable one-block index (ToTail, LoadSegment),
+  /// 0 for every other index.
+  uint64_t append_capacity() const { return source_->append_capacity(); }
+
+  /// Heap bytes this index holds, part by part (the daemon's STATS
+  /// "memory" section). A Freeze() view shares its slice block and
+  /// signature chunks with the index it came from and reports them too.
+  struct MemoryBytes {
+    uint64_t slices = 0;          ///< ApproxResidentBytes()
+    uint64_t signature_bits = 0;  ///< per-transaction signature popcounts
+    uint64_t popcounts = 0;       ///< cached slice popcounts
+    uint64_t item_counts = 0;     ///< exact 1-itemset counts
+  };
+  MemoryBytes Memory() const;
+
+  /// The hash family (its position memo is shared by every copy).
+  const BloomHashFamily& hash_family() const { return family_; }
 
   /// Appends one transaction. `items` must be canonical.
   /// Precondition: resident(), and below the capacity of a ToTail index.
@@ -244,26 +264,33 @@ class BbsIndex {
   /// readahead).
   void ChargeFullScan(IoStats* io, uint32_t block_size = 4096) const;
 
-  /// Serializes the index into the v2 aligned on-disk byte layout
-  /// (docs/FORMATS.md): checksummed metadata, then each slice's word array
-  /// 64-byte-aligned so the file can be mmap'd and fed to the SIMD kernels
-  /// directly. Save is Serialize + one atomic file write; exposed
-  /// separately so multi-file containers (SegmentedBbs manifests,
-  /// checkpoints) can checksum and write segment images themselves.
+  /// The v2 aligned on-disk byte layout (docs/FORMATS.md) as one string:
+  /// checksummed metadata, then each slice's word array 64-byte-aligned so
+  /// the file can be mmap'd and fed to the SIMD kernels directly. Save
+  /// streams the same bytes to a file without building the string.
   std::string Serialize() const;
 
-  /// Parses bytes produced by Serialize (the v2 aligned layout) into a
-  /// resident index. Any other magic, including the retired v1 packed
-  /// layout's "BBSIDX01", is Corruption. `context` names the source (file
-  /// path) in error messages.
-  static Result<BbsIndex> Deserialize(std::string_view file,
-                                      const std::string& context);
+  /// Writes the index to `path` (atomic replace; see util/file_io.h) in
+  /// slice-sized pieces, never holding the whole image. `file_crc`, when
+  /// non-null, receives the CRC-32 of the complete file on success.
+  Status Save(const std::string& path,
+              const WriteFileOptions& options = WriteFileOptions(),
+              uint32_t* file_crc = nullptr) const;
 
-  /// Writes the index to `path` (atomic replace; see util/file_io.h).
-  Status Save(const std::string& path) const;
-
-  /// Reads an index previously written by Save (resident backend).
+  /// Reads an index previously written by Save (resident backend) in
+  /// bounded pieces, verifying the slice data checksum as it streams. Any
+  /// magic but v2's, including the retired v1 packed layout's "BBSIDX01",
+  /// is Corruption.
   static Result<BbsIndex> Load(const std::string& path);
+
+  /// Load into one block with room for max(capacity, transactions in the
+  /// file): the slices land straight in the layout ToTail builds, so the
+  /// index costs its block and nothing per slice, and a block with spare
+  /// capacity accepts Insert in place (append_capacity()). `file_crc`,
+  /// when non-null, receives the CRC-32 of the complete file.
+  static Result<BbsIndex> LoadSegment(const std::string& path,
+                                      uint64_t capacity,
+                                      uint32_t* file_crc = nullptr);
 
   /// Opens a v2 index file zero-copy via mmap. Only the metadata prefix is
   /// validated and faulted in (magic, version, header checksum, structural
@@ -277,6 +304,18 @@ class BbsIndex {
   bool operator==(const BbsIndex& other) const;
 
  private:
+  /// The v2 image in pieces to `out` (anything with
+  /// Status Append(std::string_view)): Serialize and Save.
+  template <typename Sink>
+  Status WriteImage(Sink* out) const;
+
+  /// Parses a v2 image from `in`: into BitVectors, or with `one_block`
+  /// into one TailSliceSource block with room for max(capacity,
+  /// transactions). `file_crc` as in LoadSegment.
+  static Result<BbsIndex> ReadImage(FileReader* in, const std::string& path,
+                                    bool one_block, uint64_t capacity,
+                                    uint32_t* file_crc);
+
   /// Insert's body, compiled once per writable backend so the per-bit
   /// calls inline.
   template <typename Source>

@@ -59,6 +59,26 @@ class BloomHashFamily {
     return table_->filled.load(std::memory_order_relaxed);
   }
 
+  /// Heap bytes of the position memo: its chunks, directories and every
+  /// memoized position list. Every copy of this family shares the memo.
+  size_t MemoBytes() const {
+    std::lock_guard<std::mutex> lock(table_->mu);
+    size_t bytes = table_->chunks.size() * sizeof(PositionTable::Chunk);
+    for (const auto& dir : table_->directories) {
+      bytes += dir->capacity() * sizeof(PositionTable::Chunk*);
+    }
+    for (const auto& chunk : table_->chunks) {
+      for (const PositionTable::Entry& entry : *chunk) {
+        bytes += entry.positions.capacity() * sizeof(uint32_t);
+      }
+    }
+    return bytes;
+  }
+
+  /// Equal for copies of one family (they share one memo), so a caller
+  /// summing MemoBytes over many indexes can count each memo once.
+  const void* memo_id() const { return table_.get(); }
+
  private:
   /// The position memo: fixed chunks of kChunkItems entries that never move
   /// once allocated, reached through a chunk directory that is replaced

@@ -159,17 +159,19 @@ Status SegmentedBbs::Save(const std::string& prefix) const {
   // Segments first, manifest last: the manifest's atomic rename is the
   // commit point, and until it lands any previous manifest keeps describing
   // the previous (still intact, CRC-verified) generation.
-  std::vector<SegmentFileInfo> infos;
-  infos.reserve(segments_.size());
+  std::vector<SegmentFileInfo> infos(segments_.size());
   for (size_t idx = 0; idx < segments_.size(); ++idx) {
-    std::string image = segments_[idx].Serialize();
-    BBSMINE_RETURN_IF_ERROR(
-        WriteBinaryFile(SegmentFilePath(prefix, idx), image));
-    infos.push_back(
-        SegmentFileInfo{segments_[idx].num_transactions(), Crc32(image)});
+    infos[idx].num_transactions = segments_[idx].num_transactions();
+    BBSMINE_RETURN_IF_ERROR(segments_[idx].Save(
+        SegmentFilePath(prefix, idx), WriteFileOptions(), &infos[idx].crc));
   }
   return WriteSegmentedManifest(prefix, segment_capacity_, num_transactions_,
                                 /*epoch=*/0, infos);
+}
+
+std::vector<BbsIndex> SegmentedBbs::TakeSegments() && {
+  num_transactions_ = 0;
+  return std::move(segments_);
 }
 
 Status SegmentedBbs::FoldSegment(size_t idx, uint32_t new_bits) {
@@ -236,17 +238,23 @@ Result<SegmentedBbs> SegmentedBbs::Load(const std::string& prefix,
       // the whole-generation binding for lazy serving (see header comment).
       segment = BbsIndex::OpenMmap(path);
     } else {
-      Result<std::string> image = ReadBinaryFile(path);
-      if (!image.ok()) return image.status();
+      // One block per segment, filled straight from the file: full
+      // segments get exactly their transactions' room, the last one the
+      // manifest capacity, so inserts (WAL replay, the snapshot manager's
+      // tail) extend it in place.
+      const bool last = idx + 1 == segment_count;
+      uint32_t file_crc = 0;
+      segment = BbsIndex::LoadSegment(path, last ? capacity : manifest_txns,
+                                      &file_crc);
+      if (!segment.ok()) return segment.status();
       // The file CRC ties this segment to this manifest's generation: a
       // segment left over from (or overwritten by) a different save fails
       // here even though it is a perfectly valid BbsIndex on its own.
-      if (Crc32(*image) != manifest_crc) {
+      if (file_crc != manifest_crc) {
         return Status::Corruption("segment file " + path +
                                   " does not match manifest (stale or "
                                   "mixed-generation segment set)");
       }
-      segment = BbsIndex::Deserialize(*image, path);
     }
     if (!segment.ok()) return segment.status();
     if (segment->num_transactions() != manifest_txns) {

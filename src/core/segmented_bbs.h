@@ -124,6 +124,10 @@ class SegmentedBbs {
   /// Read access to one segment.
   const BbsIndex& segment(size_t idx) const { return segments_[idx]; }
 
+  /// Moves the segments out (oldest first), leaving this index without
+  /// any: the way a new owner adopts them without copying a slice.
+  std::vector<BbsIndex> TakeSegments() &&;
+
   /// Appends one transaction (canonical itemset) to the tail segment,
   /// opening a new segment when the tail is full. Fails only if a new
   /// segment cannot be created.
@@ -177,9 +181,12 @@ class SegmentedBbs {
   Status Save(const std::string& prefix) const;
 
   /// Reads an index previously written by Save (or by a checkpoint).
-  /// With the resident backend, each segment file's CRC is verified against
-  /// the manifest and Load fails with Corruption on an epoch-inconsistent
-  /// (mixed-generation) segment set. With the mmap backend, segments are
+  /// With the resident backend, each segment streams into one block
+  /// (BbsIndex::LoadSegment: full segments at their exact size, the last
+  /// one with room for the manifest capacity, so inserts extend it in
+  /// place), each segment file's CRC is verified against the manifest, and
+  /// Load fails with Corruption on an epoch-inconsistent (mixed-generation)
+  /// segment set. With the mmap backend, segments are
   /// opened zero-copy (BbsIndex::OpenMmap): each file's v2 header checksum
   /// and structural bounds are verified and its transaction count is
   /// cross-checked against the manifest, but the full-file CRC binding is

@@ -149,6 +149,10 @@ class SliceSource {
   /// Whether Insert may append to these slices.
   virtual bool writable() const { return false; }
 
+  /// Bits per slice a writable one-block source holds without moving a
+  /// word (TailSliceSource); 0 for every other source.
+  virtual size_t append_capacity() const { return 0; }
+
   /// Downcasts for the mutation paths (Insert, fold / load construction);
   /// nullptr for the other backends. Both writable backends offer
   /// AppendZeroBit (grow every slice by one zero bit) and MutableWords.
@@ -227,6 +231,9 @@ class TailSliceSource final : public SliceSource {
   std::unique_ptr<SliceSource> Clone() const override;
   std::unique_ptr<SliceSource> Freeze() const override;
   bool writable() const override { return !frozen_; }
+  size_t append_capacity() const override {
+    return frozen_ ? 0 : block_->capacity;
+  }
   TailSliceSource* AsTail() override { return this; }
 
   void AppendZeroBit();

@@ -5,6 +5,7 @@
 
 #include "obs/json.h"
 #include "util/file_io.h"
+#include "util/heap_bytes.h"
 
 namespace bbsmine::obs {
 
@@ -51,6 +52,13 @@ void Tracer::AddComplete(TraceCategory category, const char* name,
 size_t Tracer::event_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
+}
+
+size_t Tracer::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = events_.capacity() * sizeof(Event);
+  for (const Event& event : events_) bytes += StringHeapBytes(event.args_json);
+  return bytes;
 }
 
 std::string Tracer::ToJsonString() const {

@@ -88,6 +88,9 @@ class Tracer {
 
   size_t event_count() const;
 
+  /// Heap bytes of the recorded events and their argument strings.
+  size_t MemoryBytes() const;
+
   /// The full trace document: {"traceEvents": [...], ...}.
   std::string ToJsonString() const;
 

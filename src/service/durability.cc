@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <chrono>
 
-#include "util/crc32.h"
 #include "util/fault_injector.h"
 
 namespace bbsmine::service {
@@ -190,14 +189,14 @@ Status DurabilityManager::Checkpoint(const Snapshot& snap,
   // (if any) still describes a complete CRC-consistent generation.
   WriteFileOptions file_options;
   file_options.fault_point = "checkpoint";
-  std::vector<SegmentFileInfo> infos;
-  infos.reserve(snap.num_segments());
+  // Each segment streams to its file in slice-sized pieces, and the
+  // manifest's per-file CRC is computed as the bytes go out.
+  std::vector<SegmentFileInfo> infos(snap.num_segments());
   for (size_t idx = 0; idx < snap.num_segments(); ++idx) {
-    std::string image = snap.segment(idx).Serialize();
-    BBSMINE_RETURN_IF_ERROR(WriteBinaryFile(
-        SegmentFilePath(CheckpointPrefix(), idx), image, file_options));
-    infos.push_back(SegmentFileInfo{snap.segment(idx).num_transactions(),
-                                    Crc32(image)});
+    infos[idx].num_transactions = snap.segment(idx).num_transactions();
+    BBSMINE_RETURN_IF_ERROR(
+        snap.segment(idx).Save(SegmentFilePath(CheckpointPrefix(), idx),
+                               file_options, &infos[idx].crc));
   }
   if (db != nullptr) {
     BBSMINE_RETURN_IF_ERROR(db->Save(DbPath()));

@@ -143,6 +143,7 @@ class DurabilityManager {
   uint64_t wal_appends() const { return wal_->appended_records(); }
   uint64_t wal_bytes() const { return wal_->appended_bytes(); }
   uint64_t wal_fsyncs() const { return wal_->fsyncs(); }
+  size_t wal_buffer_bytes() const { return wal_->buffer_bytes(); }
   uint64_t checkpoints() const { return checkpoints_; }
   uint64_t txns_since_checkpoint() const { return txns_since_checkpoint_; }
   uint64_t checkpoint_every() const { return options_.checkpoint_every; }

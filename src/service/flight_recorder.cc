@@ -74,6 +74,13 @@ FlightRecorder::FlightRecorder(size_t ring_capacity, size_t max_rings)
     : ring_capacity_(std::max<size_t>(1, ring_capacity)),
       max_rings_(std::max<size_t>(1, max_rings)) {}
 
+size_t FlightRecorder::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = holders_.capacity() * sizeof(Holder);
+  for (const Holder& holder : holders_) bytes += holder.ring->MemoryBytes();
+  return bytes;
+}
+
 FlightRing* FlightRecorder::AcquireRing(uint64_t connection_id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (holders_.size() >= max_rings_) {

@@ -74,6 +74,11 @@ class FlightRing {
 
   size_t capacity() const { return slots_.size(); }
 
+  /// Heap bytes of this ring (the object and its slots).
+  size_t MemoryBytes() const {
+    return sizeof(*this) + slots_.capacity() * sizeof(Slot);
+  }
+
   /// Forgets all history (recycling only; must not race the writer).
   void Reset();
 
@@ -124,6 +129,9 @@ class FlightRecorder {
   obs::JsonValue DumpJsonForCrash(uint64_t now_rel_us) const;
 
   size_t ring_capacity() const { return ring_capacity_; }
+
+  /// Heap bytes of every ring held, active or released.
+  size_t MemoryBytes() const;
 
  private:
   struct Holder {

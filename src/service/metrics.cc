@@ -224,6 +224,31 @@ obs::JsonValue ServiceMetrics::WindowSectionJson(uint64_t now_rel_us) const {
   return window;
 }
 
+uint64_t MemoryGauges::total_bytes() const {
+  return sealed_slice_bytes + tail_slice_bytes + signature_bit_bytes +
+         popcount_bytes + item_count_bytes + hash_position_bytes +
+         db_record_bytes + db_tid_offset_bytes + wal_buffer_bytes +
+         trace_ring_bytes + flight_ring_bytes;
+}
+
+obs::JsonValue MemoryGauges::ToJson() const {
+  using obs::JsonValue;
+  JsonValue out = JsonValue::Object();
+  out.Set("sealed_slice_bytes", JsonValue::Uint(sealed_slice_bytes));
+  out.Set("tail_slice_bytes", JsonValue::Uint(tail_slice_bytes));
+  out.Set("signature_bit_bytes", JsonValue::Uint(signature_bit_bytes));
+  out.Set("popcount_bytes", JsonValue::Uint(popcount_bytes));
+  out.Set("item_count_bytes", JsonValue::Uint(item_count_bytes));
+  out.Set("hash_position_bytes", JsonValue::Uint(hash_position_bytes));
+  out.Set("db_record_bytes", JsonValue::Uint(db_record_bytes));
+  out.Set("db_tid_offset_bytes", JsonValue::Uint(db_tid_offset_bytes));
+  out.Set("wal_buffer_bytes", JsonValue::Uint(wal_buffer_bytes));
+  out.Set("trace_ring_bytes", JsonValue::Uint(trace_ring_bytes));
+  out.Set("flight_ring_bytes", JsonValue::Uint(flight_ring_bytes));
+  out.Set("total_bytes", JsonValue::Uint(total_bytes()));
+  return out;
+}
+
 obs::JsonValue BuildServiceReport(const ServiceReportContext& ctx,
                                   const ServiceMetrics& metrics) {
   using obs::JsonValue;
@@ -248,6 +273,7 @@ obs::JsonValue BuildServiceReport(const ServiceReportContext& ctx,
   service.Set("minor_faults", JsonValue::Uint(ctx.minor_faults));
   service.Set("major_faults", JsonValue::Uint(ctx.major_faults));
   report.Set("service", std::move(service));
+  if (ctx.memory.has_value()) report.Set("memory", ctx.memory->ToJson());
 
   JsonValue compaction = JsonValue::Object();
   compaction.Set("enabled", JsonValue::Bool(ctx.compaction_enabled));

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,26 @@ class ServiceMetrics {
   mutable size_t ring_next_ = 0;          // guarded by window_mu_
 };
 
+/// Exact heap bytes of each structure a daemon holds (the report's
+/// "memory" section), computed only when a report is built. Allocator
+/// overhead, thread stacks and the program image are not in them.
+struct MemoryGauges {
+  uint64_t sealed_slice_bytes = 0;   ///< sealed segments' slice data
+  uint64_t tail_slice_bytes = 0;     ///< writer's tail block + view
+  uint64_t signature_bit_bytes = 0;  ///< per-transaction signature bits
+  uint64_t popcount_bytes = 0;       ///< cached slice popcounts
+  uint64_t item_count_bytes = 0;     ///< exact 1-itemset counts
+  uint64_t hash_position_bytes = 0;  ///< hash position memos
+  uint64_t db_record_bytes = 0;      ///< database records and their items
+  uint64_t db_tid_offset_bytes = 0;  ///< database TID offsets
+  uint64_t wal_buffer_bytes = 0;     ///< WAL append buffer
+  uint64_t trace_ring_bytes = 0;     ///< recorded trace events
+  uint64_t flight_ring_bytes = 0;    ///< flight-recorder rings
+
+  uint64_t total_bytes() const;
+  obs::JsonValue ToJson() const;
+};
+
 /// Identity / liveness facts that frame the metric snapshot.
 struct ServiceReportContext {
   double uptime_seconds = 0;
@@ -239,6 +260,10 @@ struct ServiceReportContext {
   uint64_t resident_slice_bytes = 0;
   uint64_t minor_faults = 0;
   uint64_t major_faults = 0;
+
+  /// The "memory" section; unset (the router) omits it. Additive; schema
+  /// stays 1.
+  std::optional<MemoryGauges> memory;
 
   /// Cold-segment fold compaction (rendered as the "compaction" section;
   /// disabled renders just {"enabled": false}).

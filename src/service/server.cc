@@ -683,6 +683,25 @@ obs::JsonValue BbsService::BuildStatsReport() const {
   ctx.mine_enabled = db_ != nullptr;
   ctx.index_backend = IndexBackendName(options_.index_backend);
   ctx.resident_slice_bytes = snap.ApproxResidentBytes();
+  MemoryGauges& memory = ctx.memory.emplace();
+  const IndexMemory index_memory = index_->Memory();
+  memory.sealed_slice_bytes = index_memory.sealed_slices;
+  memory.tail_slice_bytes = index_memory.tail_slices;
+  memory.signature_bit_bytes = index_memory.signature_bits;
+  memory.popcount_bytes = index_memory.popcounts;
+  memory.item_count_bytes = index_memory.item_counts;
+  memory.hash_position_bytes = index_memory.hash_positions;
+  if (db_ != nullptr) {
+    const TransactionDatabase::MemoryBytes db_memory = db_->Memory();
+    memory.db_record_bytes = db_memory.records;
+    memory.db_tid_offset_bytes = db_memory.tid_offsets;
+  }
+  if (options_.tracer != nullptr) {
+    memory.trace_ring_bytes = options_.tracer->MemoryBytes();
+  }
+  if (options_.flight_recorder != nullptr) {
+    memory.flight_ring_bytes = options_.flight_recorder->MemoryBytes();
+  }
   const PageFaultCounters faults = CurrentPageFaults();
   ctx.minor_faults = faults.minor;
   ctx.major_faults = faults.major;
@@ -706,6 +725,7 @@ obs::JsonValue BbsService::BuildStatsReport() const {
     ctx.wal_appends = durability_->wal_appends();
     ctx.wal_bytes = durability_->wal_bytes();
     ctx.wal_fsyncs = durability_->wal_fsyncs();
+    memory.wal_buffer_bytes = durability_->wal_buffer_bytes();
     ctx.checkpoints = durability_->checkpoints();
     ctx.wal_txns_since_checkpoint = durability_->txns_since_checkpoint();
     ctx.wal_truncations_deferred = durability_->wal_truncations_deferred();

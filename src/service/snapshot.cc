@@ -1,5 +1,6 @@
 #include "service/snapshot.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace bbsmine::service {
@@ -23,58 +24,59 @@ SnapshotManager::SnapshotManager(const BbsConfig& config,
 
 Result<SnapshotManager> SnapshotManager::Create(const BbsConfig& config,
                                                 uint64_t segment_capacity) {
+  Result<BbsIndex> empty = BbsIndex::Create(config);
+  if (!empty.ok()) return empty.status();
+  return Adopt({}, std::move(empty).value(), segment_capacity);
+}
+
+Result<SnapshotManager> SnapshotManager::FromIndex(SegmentedBbs index) {
+  const uint64_t capacity = index.segment_capacity();
+  std::vector<BbsIndex> segments = std::move(index).TakeSegments();
+  if (segments.empty()) {
+    return Status::InvalidArgument("segmented index has no segments");
+  }
+  // Every segment but the last is sealed (full or not, it will never grow
+  // again in `index`; adopting it as sealed only forgoes topping it up).
+  // The last segment is the open tail.
+  BbsIndex tail = std::move(segments.back());
+  segments.pop_back();
+  return Adopt(std::move(segments), std::move(tail), capacity);
+}
+
+Result<SnapshotManager> SnapshotManager::FromIndex(BbsIndex index,
+                                                   uint64_t segment_capacity) {
+  Result<BbsIndex> empty = BbsIndex::Create(index.config());
+  if (!empty.ok()) return empty.status();
+  std::vector<BbsIndex> sealed;
+  if (index.num_transactions() > 0) sealed.push_back(std::move(index));
+  return Adopt(std::move(sealed), std::move(empty).value(), segment_capacity);
+}
+
+Result<SnapshotManager> SnapshotManager::Adopt(std::vector<BbsIndex> sealed,
+                                               BbsIndex tail,
+                                               uint64_t segment_capacity) {
   if (segment_capacity == 0) {
     return Status::InvalidArgument("segment_capacity must be positive");
   }
-  Result<BbsIndex> tail = BbsIndex::Create(config);
-  if (!tail.ok()) return tail.status();
-  SnapshotManager out(config, segment_capacity);
-  out.tail_ = std::make_unique<BbsIndex>(tail->ToTail(segment_capacity));
+  SnapshotManager out(tail.config(), segment_capacity);
   {
     std::lock_guard<std::mutex> lock(*out.mu_);
+    for (BbsIndex& segment : sealed) {
+      out.num_transactions_ += segment.num_transactions();
+      out.sealed_.push_back(
+          std::make_shared<const BbsIndex>(std::move(segment)));
+      out.sealed_epoch_.push_back(out.epoch_);
+    }
+    out.num_transactions_ += tail.num_transactions();
+    // A one-block tail with room for a whole segment (SegmentedBbs::Load's
+    // last segment) is adopted as is; anything else — an mmap'd or
+    // BitVector tail, or a smaller block — is copied into append-stable
+    // storage.
+    out.tail_ = std::make_unique<BbsIndex>(
+        tail.append_capacity() >= segment_capacity
+            ? std::move(tail)
+            : tail.ToTail(segment_capacity));
     out.PublishLocked();
-  }
-  return out;
-}
-
-Result<SnapshotManager> SnapshotManager::FromIndex(const SegmentedBbs& index) {
-  Result<SnapshotManager> out =
-      Create(index.config(), index.segment_capacity());
-  if (!out.ok()) return out;
-  {
-    std::lock_guard<std::mutex> lock(*out->mu_);
-    // Every segment but the last is sealed (full or not, it will never
-    // grow again in `index`; adopting it as sealed only forgoes topping it
-    // up). The last segment is the open tail: copy it into the
-    // writer-private append-stable tail so future inserts extend it.
-    for (size_t idx = 0; idx + 1 < index.num_segments(); ++idx) {
-      out->sealed_.push_back(
-          std::make_shared<const BbsIndex>(index.segment(idx)));
-      out->sealed_epoch_.push_back(out->epoch_);
-    }
-    // The copy also materializes an mmap-backed tail (adopted sealed
-    // segments above stay zero-copy — the BbsIndex copy shares the
-    // mapping).
-    *out->tail_ = index.segment(index.num_segments() - 1)
-                      .ToTail(out->segment_capacity_);
-    out->num_transactions_ = index.num_transactions();
-    out->PublishLocked();
-  }
-  return out;
-}
-
-Result<SnapshotManager> SnapshotManager::FromIndex(const BbsIndex& index,
-                                                   uint64_t segment_capacity) {
-  Result<SnapshotManager> out = Create(index.config(), segment_capacity);
-  if (!out.ok()) return out;
-  {
-    std::lock_guard<std::mutex> lock(*out->mu_);
-    if (index.num_transactions() > 0) {
-      out->sealed_.push_back(std::make_shared<const BbsIndex>(index));
-      out->sealed_epoch_.push_back(out->epoch_);
-      out->num_transactions_ = index.num_transactions();
-    }
-    out->PublishLocked();
   }
   return out;
 }
@@ -125,6 +127,37 @@ uint64_t SnapshotManager::publications() const {
 uint64_t SnapshotManager::seals() const {
   std::lock_guard<std::mutex> lock(*mu_);
   return seals_;
+}
+
+IndexMemory SnapshotManager::Memory() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  const std::shared_ptr<const Snapshot::State> published = published_->Load();
+  IndexMemory out;
+  std::vector<const void*> memos;  // each shared position memo once
+  auto add = [&](const BbsIndex& index, uint64_t* slices) {
+    const BbsIndex::MemoryBytes bytes = index.Memory();
+    *slices += bytes.slices;
+    out.signature_bits += bytes.signature_bits;
+    out.popcounts += bytes.popcounts;
+    out.item_counts += bytes.item_counts;
+    const BloomHashFamily& family = index.hash_family();
+    if (std::find(memos.begin(), memos.end(), family.memo_id()) ==
+        memos.end()) {
+      memos.push_back(family.memo_id());
+      out.hash_positions += family.MemoBytes();
+    }
+  };
+  for (const auto& segment : sealed_) add(*segment, &out.sealed_slices);
+  add(*tail_, &out.tail_slices);
+  if (published->segments.size() > sealed_.size()) {
+    // The tail's published view: its own bytes are the frozen boundary
+    // words and its copies of the popcounts and item counts.
+    const BbsIndex::MemoryBytes view = published->segments.back()->Memory();
+    out.tail_slices += view.slices - tail_->ApproxResidentBytes();
+    out.popcounts += view.popcounts;
+    out.item_counts += view.item_counts;
+  }
+  return out;
 }
 
 void SnapshotManager::PublishLocked() {

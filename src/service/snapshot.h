@@ -84,6 +84,18 @@ struct CompactionPolicy {
   bool enabled() const { return cold_epochs != 0 && fold_bits != 0; }
 };
 
+/// Heap bytes of the index a SnapshotManager holds, part by part, each
+/// shared byte counted once (SnapshotManager::Memory).
+struct IndexMemory {
+  uint64_t sealed_slices = 0;   ///< slice data of the sealed segments
+  uint64_t tail_slices = 0;     ///< the tail block + the published view's
+                                ///< boundary words
+  uint64_t signature_bits = 0;  ///< per-transaction signature popcounts
+  uint64_t popcounts = 0;       ///< cached slice popcounts
+  uint64_t item_counts = 0;     ///< exact 1-itemset counts
+  uint64_t hash_positions = 0;  ///< the hash families' position memos
+};
+
 /// An immutable view of the index at one publication epoch. Cheap to copy
 /// (one shared_ptr); safe to query from any thread; keeps the segments it
 /// references alive for its own lifetime.
@@ -144,14 +156,17 @@ class SnapshotManager {
   static Result<SnapshotManager> Create(const BbsConfig& config,
                                         uint64_t segment_capacity);
 
-  /// Adopts the contents of an existing segmented index (e.g. one loaded
-  /// from disk). Sealed segments are shared, the open tail is copied into
-  /// append-stable storage.
-  static Result<SnapshotManager> FromIndex(const SegmentedBbs& index);
+  /// Adopts the segments of an existing segmented index (e.g. one loaded
+  /// from disk) by move: pass std::move(index) and no slice is copied. The
+  /// open tail stays in place when it is a one-block segment with room for
+  /// a whole segment (SegmentedBbs::Load's last segment) and is copied into
+  /// append-stable storage otherwise. An lvalue argument is copied first.
+  static Result<SnapshotManager> FromIndex(SegmentedBbs index);
 
-  /// Wraps a monolithic BbsIndex as one sealed segment; new inserts go to
-  /// a fresh tail holding up to `segment_capacity` transactions each.
-  static Result<SnapshotManager> FromIndex(const BbsIndex& index,
+  /// Adopts a monolithic BbsIndex (by move, as above) as one sealed
+  /// segment; new inserts go to a fresh tail holding up to
+  /// `segment_capacity` transactions each.
+  static Result<SnapshotManager> FromIndex(BbsIndex index,
                                            uint64_t segment_capacity);
 
   SnapshotManager(SnapshotManager&&) = default;
@@ -201,8 +216,19 @@ class SnapshotManager {
 
   uint64_t segment_capacity() const { return segment_capacity_; }
 
+  /// Heap bytes of the sealed segments, the writer's tail and its current
+  /// published view (which shares the tail's block and signature chunks).
+  /// Snapshots readers still hold of older epochs are not included.
+  IndexMemory Memory() const;
+
  private:
   SnapshotManager(const BbsConfig& config, uint64_t segment_capacity);
+
+  /// The one body behind Create and both FromIndex: `sealed` become
+  /// sealed segments and `tail` the writer's tail, all by move.
+  static Result<SnapshotManager> Adopt(std::vector<BbsIndex> sealed,
+                                       BbsIndex tail,
+                                       uint64_t segment_capacity);
 
   /// Seals the tail if full, opening a fresh one. Caller holds mu_.
   Status MaybeSealLocked();

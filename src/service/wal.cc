@@ -79,18 +79,24 @@ Status ParseHeader(const char* data, size_t size, const std::string& path,
   return Status::Ok();
 }
 
-std::string SerializeRecord(const std::vector<Itemset>& batch) {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(batch.size()));
+// Record buffer capacity WriteAheadLog::Append keeps between appends.
+constexpr size_t kKeptRecordBytes = 1 << 20;
+
+// Frames `batch` as one record in `record`, reusing its capacity: the
+// length and CRC placeholders are patched once the payload is in place.
+void SerializeRecord(const std::vector<Itemset>& batch, std::string* record) {
+  record->assign(8, '\0');
+  AppendU32(record, static_cast<uint32_t>(batch.size()));
   for (const Itemset& items : batch) {
-    AppendU32(&payload, static_cast<uint32_t>(items.size()));
-    for (ItemId item : items) AppendU32(&payload, item);
+    AppendU32(record, static_cast<uint32_t>(items.size()));
+    for (ItemId item : items) AppendU32(record, item);
   }
-  std::string record;
-  AppendU32(&record, static_cast<uint32_t>(payload.size()));
-  AppendU32(&record, Crc32(payload));
-  record += payload;
-  return record;
+  const std::string_view payload = std::string_view(*record).substr(8);
+  const uint32_t header[2] = {static_cast<uint32_t>(payload.size()),
+                              Crc32(payload)};
+  for (int i = 0; i < 8; ++i) {
+    (*record)[i] = static_cast<char>(header[i / 4] >> (8 * (i % 4)));
+  }
 }
 
 Status ParseRecordPayload(const char* data, size_t size,
@@ -494,13 +500,15 @@ Status WriteAheadLog::Append(const std::vector<Itemset>& batch) {
   if (broken_) {
     return Status::IoError("WAL is broken after a failed append: " + path_);
   }
-  std::string record = SerializeRecord(batch);
-  size_t allowed = record.size();
-  Status injected =
-      FaultInjector::HitWrite("wal.append", record.size(), &allowed);
-  Status status =
-      WriteAllFd(fd_.get(), record.data(), allowed, path_);
+  SerializeRecord(batch, &record_);
+  const size_t size = record_.size();
+  size_t allowed = size;
+  Status injected = FaultInjector::HitWrite("wal.append", size, &allowed);
+  Status status = WriteAllFd(fd_.get(), record_.data(), allowed, path_);
   if (status.ok() && !injected.ok()) status = injected;
+  // The buffer is kept for the next batch unless this one was unusually
+  // large.
+  if (record_.capacity() > kKeptRecordBytes) std::string().swap(record_);
   if (!status.ok()) {
     // Restore the pre-append length AND the write position — a partial
     // write advanced the fd cursor, and truncation alone would make the
@@ -515,9 +523,9 @@ Status WriteAheadLog::Append(const std::vector<Itemset>& batch) {
     }
     return status;
   }
-  offset_ += record.size();
+  offset_ += size;
   appended_records_ += 1;
-  appended_bytes_ += record.size();
+  appended_bytes_ += size;
   return SyncPerPolicy();
 }
 

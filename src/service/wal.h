@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "storage/transaction.h"
+#include "util/heap_bytes.h"
 #include "util/socket.h"
 #include "util/status.h"
 
@@ -183,6 +184,9 @@ class WriteAheadLog {
   uint64_t fsyncs() const { return fsyncs_; }
   const std::string& path() const { return path_; }
 
+  /// Heap bytes of the record buffer Append reuses.
+  size_t buffer_bytes() const { return StringHeapBytes(record_); }
+
  private:
   WriteAheadLog() = default;
 
@@ -198,6 +202,9 @@ class WriteAheadLog {
   uint64_t appends_since_sync_ = 0;
   uint64_t fsyncs_ = 0;
   bool broken_ = false;
+  // The framed record being appended; kept between appends (up to 1 MiB)
+  // so a batch costs no allocation once the buffer has grown to fit it.
+  std::string record_;
 };
 
 }  // namespace bbsmine::service

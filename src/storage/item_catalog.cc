@@ -59,7 +59,8 @@ std::string ItemCatalog::Render(const Itemset& items) const {
     if (items[i] < names_.size()) {
       out += names_[items[i]];
     } else {
-      out += "#" + std::to_string(items[i]);
+      out += '#';
+      out += std::to_string(items[i]);
     }
   }
   out += "}";

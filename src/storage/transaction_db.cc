@@ -1,7 +1,7 @@
 #include "storage/transaction_db.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -23,27 +23,22 @@ void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (*pos + 4 > in.size()) return false;
-  uint32_t out = 0;
+uint32_t LoadU32(const char* in) {
+  uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(in[*pos + i])) << (8 * i);
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(in[i])) << (8 * i);
   }
-  *pos += 4;
-  *v = out;
-  return true;
+  return v;
 }
 
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(in[*pos + i])) << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
+uint64_t LoadU64(const char* in) {
+  return LoadU32(in) | static_cast<uint64_t>(LoadU32(in + 4)) << 32;
 }
+
+// Record items are read straight into their Itemset: the file stores them
+// as little-endian uint32, the host's own layout.
+static_assert(std::endian::native == std::endian::little &&
+              sizeof(ItemId) == 4);
 
 }  // namespace
 
@@ -89,6 +84,16 @@ DatabaseView TransactionDatabase::Prefix(size_t n) const {
   return view;
 }
 
+TransactionDatabase::MemoryBytes TransactionDatabase::Memory() const {
+  MemoryBytes bytes;
+  bytes.records = records_.StorageBytes();
+  Prefix().ForEach(nullptr, [&](const Transaction& txn) {
+    bytes.records += txn.items.capacity() * sizeof(ItemId);
+  });
+  bytes.tid_offsets = tid_index_.StorageBytes();
+  return bytes;
+}
+
 Itemset TransactionDatabase::DistinctItems() const {
   Itemset all;
   ForEach(nullptr, [&](const Transaction& txn) {
@@ -120,98 +125,123 @@ bool TransactionDatabase::operator==(const TransactionDatabase& other) const {
   return true;
 }
 
-Status TransactionDatabase::Save(const std::string& path) const {
-  // One buffer holds the whole image: the header is reserved up front and
-  // its CRC (over everything after it) is patched in once the records are
-  // written.
-  constexpr size_t kHeaderBytes = sizeof(kMagic) + 4 + 4;
-  std::string file;
-  file.reserve(kHeaderBytes + 16 + SerializedBytes());
-  file.append(kMagic, sizeof(kMagic));
-  AppendU32(&file, kFormatVersion);
-  AppendU32(&file, 0);  // CRC placeholder
-  AppendU64(&file, size());
-  AppendU32(&file, item_universe_);
-  AppendU32(&file, block_size_);
-  ForEach(nullptr, [&](const Transaction& txn) {
-    AppendU64(&file, txn.tid);
-    AppendU32(&file, static_cast<uint32_t>(txn.items.size()));
-    for (ItemId item : txn.items) AppendU32(&file, item);
-  });
-  const uint32_t crc = Crc32(std::string_view(file).substr(kHeaderBytes));
-  for (int i = 0; i < 4; ++i) {
-    file[kHeaderBytes - 4 + i] = static_cast<char>(crc >> (8 * i));
+template <typename Emit>
+Status TransactionDatabase::SerializePayload(const Emit& emit) const {
+  constexpr size_t kPieceBytes = 64 << 10;
+  const DatabaseView view = Prefix();
+  std::string piece;
+  piece.reserve(kPieceBytes + 64);
+  AppendU64(&piece, view.size());
+  AppendU32(&piece, item_universe_);
+  AppendU32(&piece, block_size_);
+  for (size_t i = 0; i < view.size(); ++i) {
+    const Transaction& txn = view.At(i);
+    AppendU64(&piece, txn.tid);
+    AppendU32(&piece, static_cast<uint32_t>(txn.items.size()));
+    for (ItemId item : txn.items) AppendU32(&piece, item);
+    if (piece.size() >= kPieceBytes) {
+      BBSMINE_RETURN_IF_ERROR(emit(std::string_view(piece)));
+      piece.clear();
+    }
   }
-  return WriteBinaryFile(path, file);
+  return emit(std::string_view(piece));
+}
+
+Status TransactionDatabase::Save(const std::string& path) const {
+  // The header's CRC covers the payload after it, so one pass over the
+  // records computes it and a second streams them out, one bounded piece
+  // at a time.
+  uint32_t crc = 0;
+  BBSMINE_RETURN_IF_ERROR(SerializePayload([&](std::string_view piece) {
+    crc = Crc32(piece, crc);
+    return Status::Ok();
+  }));
+  Result<FileWriter> out = FileWriter::Open(path);
+  if (!out.ok()) return out.status();
+  std::string header(kMagic, sizeof(kMagic));
+  AppendU32(&header, kFormatVersion);
+  AppendU32(&header, crc);
+  BBSMINE_RETURN_IF_ERROR(out->Append(header));
+  BBSMINE_RETURN_IF_ERROR(SerializePayload(
+      [&](std::string_view piece) { return out->Append(piece); }));
+  return out->Commit();
 }
 
 Result<TransactionDatabase> TransactionDatabase::Load(
     const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> fp(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (fp == nullptr) {
-    return StatusFromErrno("cannot open for reading: " + path);
-  }
-  std::string file;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp.get())) > 0) {
-    file.append(buf, n);
-  }
-  if (std::ferror(fp.get())) {
-    return Status::IoError("read error: " + path);
-  }
-
-  if (file.size() < sizeof(kMagic) + 8 ||
-      std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
+  Result<FileReader> in = FileReader::Open(path);
+  if (!in.ok()) return in.status();
+  char header[sizeof(kMagic) + 8];
+  if (in->size() < sizeof(header)) {
     return Status::Corruption("bad magic in " + path);
   }
-  size_t pos = sizeof(kMagic);
-  uint32_t version = 0;
-  uint32_t expected_crc = 0;
-  if (!ReadU32(file, &pos, &version) || !ReadU32(file, &pos, &expected_crc)) {
-    return Status::Corruption("truncated header in " + path);
+  BBSMINE_RETURN_IF_ERROR(in->Read(header, sizeof(header), "header"));
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Corruption("bad magic in " + path);
   }
+  const uint32_t version = LoadU32(header + sizeof(kMagic));
+  const uint32_t expected_crc = LoadU32(header + sizeof(kMagic) + 4);
   if (version != kFormatVersion) {
     return Status::Corruption("unsupported format version " +
                               std::to_string(version));
   }
-  std::string_view payload(file.data() + pos, file.size() - pos);
-  if (Crc32(payload) != expected_crc) {
-    return Status::Corruption("checksum mismatch in " + path);
-  }
 
+  // The payload is parsed as it streams in and checksummed on the way; the
+  // database is returned only once the checksum over all of it matches.
+  uint32_t crc = 0;
+  auto read = [&](void* dst, size_t size, const char* what) -> Status {
+    BBSMINE_RETURN_IF_ERROR(in->Read(dst, size, what));
+    crc = Crc32(dst, size, crc);
+    return Status::Ok();
+  };
+  constexpr uint64_t kMinRecordBytes = 8 + 4;
   TransactionDatabase db;
-  uint64_t count = 0;
-  uint32_t universe = 0;
-  uint32_t block_size = 0;
-  if (!ReadU64(file, &pos, &count) || !ReadU32(file, &pos, &universe) ||
-      !ReadU32(file, &pos, &block_size)) {
-    return Status::Corruption("truncated payload in " + path);
-  }
-  if (block_size == 0) {
-    return Status::Corruption("zero block size in " + path);
-  }
-  db.block_size_ = block_size;
-  for (uint64_t i = 0; i < count; ++i) {
-    Transaction txn;
-    uint64_t tid = 0;
-    uint32_t num_items = 0;
-    if (!ReadU64(file, &pos, &tid) || !ReadU32(file, &pos, &num_items)) {
+  Status parsed = [&]() -> Status {
+    char fixed[16];
+    BBSMINE_RETURN_IF_ERROR(read(fixed, sizeof(fixed), "payload"));
+    const uint64_t count = LoadU64(fixed);
+    const uint32_t universe = LoadU32(fixed + 8);
+    const uint32_t block_size = LoadU32(fixed + 12);
+    if (block_size == 0) {
+      return Status::Corruption("zero block size in " + path);
+    }
+    // Every length field is checked against the bytes left before anything
+    // is sized by it.
+    if (count > in->remaining() / kMinRecordBytes) {
       return Status::Corruption("truncated record in " + path);
     }
-    txn.tid = tid;
-    txn.items.reserve(num_items);
-    for (uint32_t j = 0; j < num_items; ++j) {
-      uint32_t item = 0;
-      if (!ReadU32(file, &pos, &item)) {
+    db.block_size_ = block_size;
+    for (uint64_t i = 0; i < count; ++i) {
+      char record[kMinRecordBytes];
+      BBSMINE_RETURN_IF_ERROR(read(record, sizeof(record), "record"));
+      const uint32_t num_items = LoadU32(record + 8);
+      if (uint64_t{num_items} * sizeof(ItemId) > in->remaining()) {
         return Status::Corruption("truncated record items in " + path);
       }
-      txn.items.push_back(item);
+      Transaction txn;
+      txn.tid = LoadU64(record);
+      txn.items.resize(num_items);
+      BBSMINE_RETURN_IF_ERROR(read(txn.items.data(),
+                                   num_items * sizeof(ItemId),
+                                   "record items"));
+      db.AppendTransaction(std::move(txn));
     }
-    db.AppendTransaction(std::move(txn));
+    if (db.item_universe_ < universe) db.item_universe_ = universe;
+    return Status::Ok();
+  }();
+  if (parsed.code() == StatusCode::kIoError) return parsed;
+  // Whatever follows the records is covered by the checksum too, and a
+  // payload that fails it reports the mismatch rather than what it broke.
+  char rest[4096];
+  while (in->remaining() > 0) {
+    const size_t size =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(rest), in->remaining()));
+    BBSMINE_RETURN_IF_ERROR(read(rest, size, "payload"));
   }
-  if (db.item_universe_ < universe) db.item_universe_ = universe;
+  if (crc != expected_crc) {
+    return Status::Corruption("checksum mismatch in " + path);
+  }
+  if (!parsed.ok()) return parsed;
   return db;
 }
 

@@ -74,6 +74,9 @@ class TidIndex {
     return n == 0 ? 0 : ChunkedArray<uint64_t>::Get(*ends_.directory(), n - 1);
   }
 
+  /// Heap bytes of the offsets. Safe while the writer appends.
+  size_t StorageBytes() const { return ends_.StorageBytes(); }
+
  private:
   ChunkedArray<uint64_t> ends_;
 };
@@ -169,19 +172,36 @@ class TransactionDatabase {
   /// Serialized size of the data region, in bytes.
   uint64_t SerializedBytes() const { return tid_index_.total_bytes(); }
 
+  /// Heap bytes of the database: the record chunks plus every record's
+  /// items, and the TID offsets. Safe while another thread appends (it
+  /// reads the published prefix).
+  struct MemoryBytes {
+    uint64_t records = 0;
+    uint64_t tid_offsets = 0;
+  };
+  MemoryBytes Memory() const;
+
   /// Block size used for I/O accounting (and Save framing).
   uint32_t block_size() const { return block_size_; }
   void set_block_size(uint32_t block_size) { block_size_ = block_size; }
 
-  /// Writes the database to `path` (header + records + CRC).
+  /// Writes the database to `path` (header + records + CRC) in bounded
+  /// pieces, never holding the whole image.
   Status Save(const std::string& path) const;
 
-  /// Reads a database previously written by Save.
+  /// Reads a database previously written by Save, parsing it in bounded
+  /// pieces and checksumming the bytes as they go by. A checksum mismatch
+  /// is Corruption and yields no database.
   static Result<TransactionDatabase> Load(const std::string& path);
 
   bool operator==(const TransactionDatabase& other) const;
 
  private:
+  /// The Save payload (everything after the header) in bounded pieces,
+  /// each passed to `emit(std::string_view) -> Status`.
+  template <typename Emit>
+  Status SerializePayload(const Emit& emit) const;
+
   /// Serialized size of one record: tid (8) + count (4) + items (4 each).
   static uint64_t RecordBytes(const Transaction& txn) {
     return 8 + 4 + 4 * static_cast<uint64_t>(txn.items.size());

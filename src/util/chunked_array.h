@@ -85,6 +85,15 @@ class ChunkedArray {
     return directory_;
   }
 
+  /// Bytes of element storage held: every chunk, shared or not, plus the
+  /// directory. Safe to call while the writer appends.
+  size_t StorageBytes() const {
+    const std::shared_ptr<const Directory> dir = directory();
+    if (dir == nullptr) return 0;
+    return dir->size() * sizeof(Chunk) +
+           dir->capacity() * sizeof(std::shared_ptr<Chunk>);
+  }
+
   static const T& Get(const Directory& directory, size_t i) {
     return (*directory[i / kChunkRecords])[i % kChunkRecords];
   }

@@ -241,6 +241,42 @@ TEST(BbsIndexTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(BbsIndexTest, SaveStreamsTheSerializeImageAndLoadSegmentMatchesLoad) {
+  TransactionDatabase db = testing::RandomDb(19, 3000, 200, 6.0);
+  BbsConfig config;
+  config.num_bits = 1000;
+  config.num_hashes = 3;
+  config.track_item_counts = true;
+  BbsIndex bbs = BbsIndex::Create(config).value();
+  bbs.InsertAll(db);
+
+  const std::string path = TempPath("bbsmine_idx_streamed.bin");
+  uint32_t file_crc = 0;
+  ASSERT_TRUE(bbs.Save(path, WriteFileOptions(), &file_crc).ok());
+  Result<std::string> written = ReadBinaryFile(path);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, bbs.Serialize());
+  EXPECT_EQ(file_crc, Crc32(*written));
+
+  Result<BbsIndex> resident = BbsIndex::Load(path);
+  uint32_t loaded_crc = 0;
+  Result<BbsIndex> block = BbsIndex::LoadSegment(path, 4000, &loaded_crc);
+  ASSERT_TRUE(resident.ok() && block.ok());
+  EXPECT_EQ(loaded_crc, file_crc);
+  EXPECT_TRUE(*resident == bbs);
+  EXPECT_TRUE(*block == bbs);
+  EXPECT_EQ(block->append_capacity(), 4000u);
+  EXPECT_EQ(resident->append_capacity(), 0u);
+  // The block takes inserts in place and stays equal to the original.
+  for (size_t t = 0; t < 50; ++t) {
+    block->Insert(db.At(t).items);
+    bbs.Insert(db.At(t).items);
+  }
+  EXPECT_TRUE(*block == bbs);
+  EXPECT_EQ(block->CountItemSet({1, 2}), bbs.CountItemSet({1, 2}));
+  std::remove(path.c_str());
+}
+
 TEST(BbsIndexTest, LoadRejectsCorruption) {
   BbsIndex bbs = PaperExampleBbs();
   std::string path = TempPath("bbsmine_idx_corrupt.bin");
@@ -282,9 +318,6 @@ TEST(BbsIndexTest, RetiredV1LayoutIsRejected) {
   append(&file, 1, 4);  // format version
   append(&file, Crc32(payload), 4);
   file += payload;
-
-  Result<BbsIndex> parsed = BbsIndex::Deserialize(file, "v1 image");
-  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
 
   std::string path = TempPath("bbsmine_idx_v1.bin");
   ASSERT_TRUE(WriteBinaryFile(path, file).ok());

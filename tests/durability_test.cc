@@ -187,7 +187,9 @@ TEST(DurabilityTest, DatabaseIsRecoveredAlongsideTheIndex) {
         ASSERT_TRUE(manager.Insert(items).ok());
         db.Append(items);
       }
-      if (b == 2) ASSERT_TRUE(mgr->Checkpoint(manager.Acquire(), &db).ok());
+      if (b == 2) {
+        ASSERT_TRUE(mgr->Checkpoint(manager.Acquire(), &db).ok());
+      }
     }
   }
   TransactionDatabase db;

@@ -272,7 +272,7 @@ TEST(FlightRingTest, RetainsNewestEventsOldestFirst) {
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, i + 2);  // 0 and 1 were overwritten
     EXPECT_EQ(std::string(events[i].trace_id),
-              "t" + std::to_string(i + 2));
+              std::string("t").append(std::to_string(i + 2)));
   }
   ring.Reset();
   EXPECT_EQ(ring.recorded(), 0u);
@@ -299,7 +299,7 @@ TEST(FlightRingTest, ConcurrentReadersNeverSeeTornEvents) {
           ASSERT_EQ(event.start_rel_us, event.seq * 10);
           ASSERT_EQ(event.verb, Verb::kCount);
           ASSERT_EQ(std::string(event.trace_id),
-                    "t" + std::to_string(event.seq));
+                    std::string("t").append(std::to_string(event.seq)));
         }
       }
     });

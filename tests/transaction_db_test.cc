@@ -201,6 +201,75 @@ TEST(TransactionDbTest, LoadRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
+/// Writes `payload` behind a valid header (magic, version, its CRC): a file
+/// whose checksum passes, so only the length checks can reject it.
+void WriteWithValidCrc(const std::string& path, const std::string& payload) {
+  std::string file = "BBSTXDB1";
+  for (uint32_t v : {1u, Crc32(payload)}) {
+    for (int i = 0; i < 4; ++i) file.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  file += payload;
+  std::ofstream(path, std::ios::binary) << file;
+}
+
+TEST(TransactionDbTest, LoadChecksLengthFieldsAgainstTheBytesLeft) {
+  auto u32 = [](std::string* out, uint32_t v) {
+    for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  auto u64 = [](std::string* out, uint64_t v) {
+    for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const std::string path = TempPath("bbsmine_db_lengths.bin");
+
+  // A record count no file of this size can hold.
+  std::string huge_count;
+  u64(&huge_count, uint64_t{1} << 60);
+  u32(&huge_count, 4);
+  u32(&huge_count, 4096);
+  WriteWithValidCrc(path, huge_count);
+  Result<TransactionDatabase> loaded = TransactionDatabase::Load(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("truncated record"),
+            std::string::npos);
+
+  // One record claiming 2^32-1 items: rejected before any item storage is
+  // sized by it.
+  std::string huge_items;
+  u64(&huge_items, 1);
+  u32(&huge_items, 4);
+  u32(&huge_items, 4096);
+  u64(&huge_items, 0);
+  u32(&huge_items, 0xffffffffu);
+  u32(&huge_items, 3);
+  WriteWithValidCrc(path, huge_items);
+  loaded = TransactionDatabase::Load(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("truncated record items"),
+            std::string::npos);
+
+  // The same records behind a wrong checksum report the checksum.
+  std::ofstream(path, std::ios::binary | std::ios::app) << "x";
+  loaded = TransactionDatabase::Load(path);
+  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
+            std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(TransactionDbTest, LoadStreamsLargeDatabasesBitIdentically) {
+  // Several of the loader's read pieces, records straddling their edges.
+  TransactionDatabase db = testing::RandomDb(3, 30'000, 500, 9.0);
+  db.set_block_size(512);
+  const std::string path = TempPath("bbsmine_db_large.bin");
+  ASSERT_TRUE(db.Save(path).ok());
+  Result<TransactionDatabase> loaded = TransactionDatabase::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded == db);
+  EXPECT_EQ(loaded->block_size(), 512u);
+  EXPECT_EQ(loaded->item_universe(), db.item_universe());
+  EXPECT_EQ(loaded->SerializedBytes(), db.SerializedBytes());
+  std::remove(path.c_str());
+}
+
 // --- Append-stable chunked storage ------------------------------------------------
 
 /// Deterministic transaction t: 0-3 items, so record sizes (and the TID

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/crc32.h"
+#include "util/file_io.h"
 #include "util/iomodel.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -81,11 +87,113 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc, oneshot);
 }
 
+// The plain bytewise table loop: the reference the sliced CRC must match.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xffu];
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(2024);
+  std::vector<uint8_t> buf(4096 + 16);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len < 80; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + align, len),
+                BytewiseCrc32(buf.data() + align, len, 0))
+          << "align " << align << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t align = rng.Next() % 16;
+    const size_t len = rng.Next() % (buf.size() - align);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32(buf.data() + align, len, seed),
+              BytewiseCrc32(buf.data() + align, len, seed))
+        << "align " << align << " len " << len;
+  }
+}
+
 TEST(Crc32Test, DetectsBitFlip) {
   std::string a = "payload-data-0000";
   std::string b = a;
   b[5] ^= 0x01;
   EXPECT_NE(Crc32(a), Crc32(b));
+}
+
+// --- FileWriter / FileReader -------------------------------------------------
+
+std::string TempFile(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+TEST(FileIoTest, StreamedPiecesMatchOneShotWriteAndChecksum) {
+  Rng rng(77);
+  std::string data(300'000, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  const std::string streamed = TempFile("fio_streamed");
+  const std::string oneshot = TempFile("fio_oneshot");
+  {
+    Result<FileWriter> out = FileWriter::Open(streamed);
+    ASSERT_TRUE(out.ok());
+    // Pieces below, at and above the writer's buffer size.
+    size_t pos = 0;
+    for (size_t piece : {1u, 7u, 512u, 65536u, 70000u, 100u}) {
+      ASSERT_TRUE(out->Append(data.data() + pos, piece).ok());
+      pos += piece;
+    }
+    ASSERT_TRUE(out->Append(data.data() + pos, data.size() - pos).ok());
+    EXPECT_EQ(out->size(), data.size());
+    EXPECT_EQ(out->crc(), Crc32(data));
+    EXPECT_FALSE(std::filesystem::exists(streamed));  // not committed yet
+    ASSERT_TRUE(out->Commit().ok());
+  }
+  ASSERT_TRUE(WriteBinaryFile(oneshot, data).ok());
+  Result<std::string> a = ReadBinaryFile(streamed);
+  Result<std::string> b = ReadBinaryFile(oneshot);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, data);
+  EXPECT_EQ(*b, data);
+
+  // An abandoned writer leaves the destination and no temp file behind.
+  {
+    Result<FileWriter> out = FileWriter::Open(oneshot);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE(out->Append("replacement").ok());
+  }
+  EXPECT_FALSE(std::filesystem::exists(oneshot + ".tmp"));
+  EXPECT_EQ(*ReadBinaryFile(oneshot), data);
+
+  // The reader hands back the same bytes in any piece sizes, and a read
+  // past the end is Corruption.
+  Result<FileReader> in = FileReader::Open(streamed);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(in->size(), data.size());
+  std::string back(data.size(), '\0');
+  size_t pos = 0;
+  for (size_t piece : {3u, 65536u, 1u, 100000u}) {
+    ASSERT_TRUE(in->Read(back.data() + pos, piece).ok());
+    pos += piece;
+  }
+  ASSERT_TRUE(in->Read(back.data() + pos, in->remaining()).ok());
+  EXPECT_EQ(back, data);
+  char extra;
+  EXPECT_EQ(in->Read(&extra, 1, "tail").code(), StatusCode::kCorruption);
+  std::filesystem::remove(streamed);
+  std::filesystem::remove(oneshot);
 }
 
 // --- Rng ----------------------------------------------------------------------

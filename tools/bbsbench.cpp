@@ -38,6 +38,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/shard_map.h"
@@ -174,8 +175,9 @@ void Worker(const std::vector<TrafficRequest>& stream, size_t worker_id,
       // Deterministic per-request id: "b<seed>-<stream index>". The index
       // is the position in the generated stream, so a slow-log line or a
       // trace span names exactly one request of the replayed workload.
-      wire.Set("trace_id",
-               obs::JsonValue::String(*trace_prefix + std::to_string(i)));
+      std::string trace_id = *trace_prefix;
+      trace_id.append(std::to_string(i));
+      wire.Set("trace_id", obs::JsonValue::String(std::move(trace_id)));
     }
 
     enum class Outcome { kOk, kError, kTimeout, kTransport } outcome;
@@ -310,7 +312,8 @@ Result<RunResult> RunTraffic(const TrafficSpec& spec, const std::string& host,
   size_t num_workers = std::max<size_t>(1, std::min(connections,
                                                     stream->size()));
   // Outlives the workers: RunTraffic joins them before returning.
-  const std::string trace_prefix = "b" + std::to_string(spec.seed) + "-";
+  const std::string trace_prefix =
+      std::string("b").append(std::to_string(spec.seed)).append("-");
   auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
   workers.reserve(num_workers);

@@ -232,15 +232,15 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(recovery.torn_tail_bytes),
         recovery.recovery_seconds);
 
-    SegmentedBbs recovered = durability->TakeRecoveredIndex();
-    auto manager = service::SnapshotManager::FromIndex(recovered);
+    auto manager =
+        service::SnapshotManager::FromIndex(durability->TakeRecoveredIndex());
     if (!manager.ok()) Die(manager.status());
     index.emplace(std::move(*manager));
   } else if (!index_arg.empty()) {
     if (FileExists(index_arg + ".manifest")) {
       auto segmented = SegmentedBbs::Load(index_arg, nullptr, backend);
       if (!segmented.ok()) Die(segmented.status());
-      auto manager = service::SnapshotManager::FromIndex(*segmented);
+      auto manager = service::SnapshotManager::FromIndex(std::move(*segmented));
       if (!manager.ok()) Die(manager.status());
       index.emplace(std::move(*manager));
     } else {
@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
                             ? BbsIndex::OpenMmap(index_arg)
                             : BbsIndex::Load(index_arg);
       if (!monolithic.ok()) Die(monolithic.status());
-      auto manager =
-          service::SnapshotManager::FromIndex(*monolithic, segment_capacity);
+      auto manager = service::SnapshotManager::FromIndex(
+          std::move(*monolithic), segment_capacity);
       if (!manager.ok()) Die(manager.status());
       index.emplace(std::move(*manager));
     }
