@@ -180,7 +180,6 @@ class SegmentedCountFixture : public benchmark::Fixture {
 
 BENCHMARK_DEFINE_F(SegmentedCountFixture, CountItemSet)
 (benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
   Rng rng(7);
   Itemset items(3);
   for (auto _ : state) {
@@ -188,12 +187,10 @@ BENCHMARK_DEFINE_F(SegmentedCountFixture, CountItemSet)
       item = static_cast<ItemId>(rng.Uniform(10'000));
     }
     Canonicalize(&items);
-    benchmark::DoNotOptimize(
-        bbs->CountItemSet(items, /*io=*/nullptr, threads));
+    benchmark::DoNotOptimize(bbs->CountItemSet(items));
   }
 }
-BENCHMARK_REGISTER_F(SegmentedCountFixture, CountItemSet)
-    ->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK_REGISTER_F(SegmentedCountFixture, CountItemSet);
 
 BENCHMARK_DEFINE_F(CountFixture, Fold)(benchmark::State& state) {
   for (auto _ : state) {

@@ -441,9 +441,8 @@ struct RouterService::Leg {
     }
     reply.has_response = true;
     reply.response = std::move(response);
-    size_t bucket = obs::Log2Bucket(MicrosSince(start));
-    if (bucket > obs::DepthHistogram::kMaxTrackedDepth) bucket = 0;
-    shard.latency[bucket].fetch_add(1, std::memory_order_relaxed);
+    shard.latency[obs::Log2Slot(MicrosSince(start))].fetch_add(
+        1, std::memory_order_relaxed);
     phase = Phase::kDone;
     router->NoteShardSuccess(idx, reply.response, verb);
   }

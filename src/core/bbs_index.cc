@@ -233,7 +233,7 @@ BbsIndex::BbsIndex(const BbsConfig& config, BloomHashFamily family,
       folded_bits_(folded),
       source_(std::move(source)) {
   if (source_ == nullptr) {
-    source_ = std::make_unique<ResidentSliceSource>(num_bits());
+    source_ = std::make_unique<BlockSliceSource>(num_bits(), 0, 0);
   }
   slice_popcount_.resize(num_bits(), 0);
 }
@@ -264,19 +264,10 @@ Result<BbsIndex> BbsIndex::Create(const BbsConfig& config) {
 }
 
 void BbsIndex::Insert(const Itemset& items) {
-  assert(source_->writable() && "Insert requires a writable backend");
-  if (ResidentSliceSource* resident = source_->AsResident()) {
-    InsertInto(resident, items);
-  } else {
-    InsertInto(source_->AsTail(), items);
-  }
-}
-
-template <typename Source>
-void BbsIndex::InsertInto(Source* source, const Itemset& items) {
+  BlockSliceSource& block = WritableBlock();
   const size_t position = num_transactions_;
   ++num_transactions_;
-  source->AppendZeroBit();
+  block.AppendZeroBit();
 
   const size_t word = position / BitVector::kWordBits;
   const Word mask = Word{1} << (position % BitVector::kWordBits);
@@ -284,7 +275,7 @@ void BbsIndex::InsertInto(Source* source, const Itemset& items) {
   for (ItemId item : items) {
     for (uint32_t raw : family_.Positions(item)) {
       uint32_t pos = folded_bits_ != 0 ? raw % folded_bits_ : raw;
-      Word& bits = source->MutableWords(pos)[word];
+      Word& bits = block.MutableWords(pos)[word];
       if ((bits & mask) == 0) {
         bits |= mask;
         ++slice_popcount_[pos];
@@ -300,6 +291,7 @@ void BbsIndex::InsertInto(Source* source, const Itemset& items) {
 }
 
 void BbsIndex::InsertAll(const TransactionDatabase& db) {
+  WritableBlock().Reserve(num_transactions_ + db.size());
   for (size_t i = 0; i < db.size(); ++i) Insert(db.At(i).items);
 }
 
@@ -546,40 +538,23 @@ uint64_t BbsIndex::ExactItemCount(ItemId item) const {
 
 BbsIndex BbsIndex::Fold(uint32_t new_bits) const {
   assert(new_bits > 0 && new_bits <= num_bits());
-  BbsIndex folded(config_, family_, new_bits);
-  folded.num_transactions_ = num_transactions_;
-  ResidentSliceSource* res = folded.source_->AsResident();
-  for (uint32_t pos = 0; pos < new_bits; ++pos) {
-    res->slice(pos).Resize(num_transactions_);
-  }
+  auto block = std::make_unique<BlockSliceSource>(new_bits, num_transactions_,
+                                                  num_transactions_);
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    Slice(pos).OrInto(res->slice(pos % new_bits).MutableWords());
+    Slice(pos).OrInto(block->MutableWords(pos % new_bits));
   }
+  BbsIndex folded(config_, family_, new_bits, std::move(block));
+  folded.num_transactions_ = num_transactions_;
   for (uint32_t pos = 0; pos < new_bits; ++pos) {
-    folded.slice_popcount_[pos] = res->slice(pos).Count();
+    folded.slice_popcount_[pos] = folded.Slice(pos).Count();
   }
   folded.item_counts_ = item_counts_;
   folded.RecomputeSignatureBits();
   return folded;
 }
 
-BbsIndex BbsIndex::Materialize() const {
-  BbsIndex out(config_, family_, folded_bits_);
-  out.num_transactions_ = num_transactions_;
-  out.slice_popcount_ = slice_popcount_;
-  out.item_counts_ = item_counts_;
-  out.signature_bits_ = signature_bits_;
-  ResidentSliceSource* res = out.source_->AsResident();
-  for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    BitVector& slice = res->slice(pos);
-    slice.Resize(num_transactions_);
-    Slice(pos).CopyTo(slice.MutableWords());
-  }
-  return out;
-}
-
 BbsIndex BbsIndex::ToTail(uint64_t capacity) const {
-  auto tail = std::make_unique<TailSliceSource>(
+  auto tail = std::make_unique<BlockSliceSource>(
       num_bits(), std::max<uint64_t>(capacity, num_transactions_),
       num_transactions_);
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
@@ -598,11 +573,7 @@ BbsIndex BbsIndex::Freeze() const {
   out.num_transactions_ = num_transactions_;
   out.slice_popcount_ = slice_popcount_;
   out.item_counts_ = item_counts_;
-  // A writable copy (any backend but the tail's) may be inserted into, so
-  // it must not share the signature chunks it would append to.
-  out.signature_bits_ = out.source_->writable()
-                            ? signature_bits_
-                            : signature_bits_.SharedPrefix(num_transactions_);
+  out.signature_bits_ = signature_bits_.SharedPrefix(num_transactions_);
   return out;
 }
 
@@ -723,9 +694,10 @@ Status BbsIndex::Save(const std::string& path, const WriteFileOptions& options,
   return Status::Ok();
 }
 
-Result<BbsIndex> BbsIndex::ReadImage(FileReader* in, const std::string& path,
-                                     bool one_block, uint64_t capacity,
-                                     uint32_t* file_crc) {
+Result<BbsIndex> BbsIndex::Load(const std::string& path, uint64_t capacity,
+                                uint32_t* file_crc) {
+  Result<FileReader> in = FileReader::Open(path);
+  if (!in.ok()) return in.status();
   const uint64_t file_size = in->size();
   std::string head(std::min<uint64_t>(file_size, kV2ArraysOffset), '\0');
   BBSMINE_RETURN_IF_ERROR(in->Read(head.data(), head.size(), "header"));
@@ -760,31 +732,26 @@ Result<BbsIndex> BbsIndex::ReadImage(FileReader* in, const std::string& path,
   if (!family.ok()) return family.status();
 
   const size_t n = header.num_transactions;
-  std::unique_ptr<SliceSource> block;
-  if (one_block) {
-    block = std::make_unique<TailSliceSource>(
-        header.effective_bits(), std::max<uint64_t>(capacity, n), n);
-  }
+  auto slices = std::make_unique<BlockSliceSource>(
+      header.effective_bits(), std::max<uint64_t>(capacity, n), n);
+  BlockSliceSource* block = slices.get();
   BbsIndex index(header.config, std::move(family).value(), header.folded,
-                 std::move(block));
+                 std::move(slices));
   index.num_transactions_ = n;
   index.item_counts_ = std::move(item_counts);
 
-  // Slice by slice: the words go straight to their slice (through a
-  // one-slice buffer for BitVectors), and the padding up to the stride to
-  // a scratch line, so a block's spare words stay zero for later inserts.
-  // Both checksums see the bytes exactly as the file holds them.
-  TailSliceSource* tail = index.source_->AsTail();
-  ResidentSliceSource* res = index.source_->AsResident();
+  // Slice by slice: the words go straight to their place in the block, and
+  // the padding up to the stride to a scratch line, so the block's spare
+  // words stay zero for later inserts. Both checksums see the bytes
+  // exactly as the file holds them.
   const size_t wps = header.words_per_slice;
   const size_t slice_bytes = wps * sizeof(Word);
   const size_t pad_bytes = header.stride_bytes - slice_bytes;
-  std::vector<Word> scratch(tail != nullptr ? 0 : wps);
   char pad[kSliceAlignment];
   uint32_t data_crc = 0;
   uint32_t whole_crc = file_crc != nullptr ? Crc32(head) : 0;
   for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
-    Word* words = tail != nullptr ? tail->MutableWords(pos) : scratch.data();
+    Word* words = block->MutableWords(pos);
     BBSMINE_RETURN_IF_ERROR(in->Read(words, slice_bytes, "slice data"));
     BBSMINE_RETURN_IF_ERROR(in->Read(pad, pad_bytes, "slice data"));
     data_crc = Crc32(words, slice_bytes, data_crc);
@@ -793,10 +760,8 @@ Result<BbsIndex> BbsIndex::ReadImage(FileReader* in, const std::string& path,
       whole_crc = Crc32(words, slice_bytes, whole_crc);
       whole_crc = Crc32(pad, pad_bytes, whole_crc);
     }
-    if (res != nullptr) {
-      res->slice(pos).AssignWords(words, wps, n);
-    } else if (n % BitVector::kWordBits != 0) {
-      // Bits past the last transaction are ignored, as AssignWords does.
+    if (n % BitVector::kWordBits != 0) {
+      // Bits past the last transaction are ignored.
       words[wps - 1] &= (Word{1} << (n % BitVector::kWordBits)) - 1;
     }
   }
@@ -820,20 +785,6 @@ Result<BbsIndex> BbsIndex::ReadImage(FileReader* in, const std::string& path,
   index.signature_bits_ = ToChunked(signature_bits);
   if (file_crc != nullptr) *file_crc = whole_crc;
   return index;
-}
-
-Result<BbsIndex> BbsIndex::Load(const std::string& path) {
-  Result<FileReader> in = FileReader::Open(path);
-  if (!in.ok()) return in.status();
-  return ReadImage(&*in, path, /*one_block=*/false, 0, nullptr);
-}
-
-Result<BbsIndex> BbsIndex::LoadSegment(const std::string& path,
-                                       uint64_t capacity,
-                                       uint32_t* file_crc) {
-  Result<FileReader> in = FileReader::Open(path);
-  if (!in.ok()) return in.status();
-  return ReadImage(&*in, path, /*one_block=*/true, capacity, file_crc);
 }
 
 Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {

@@ -4,26 +4,27 @@
 // spans of 64-bit words fed to the SIMD kernels. SliceSource abstracts where
 // those words live:
 //
-//   * ResidentSliceSource — the classic backend: every slice is a BitVector
-//     on the heap. Mutable (Insert appends bits), and the only backend that
+//   * BlockSliceSource — the in-memory backend, and the only writable one:
+//     every slice's words lie in one 64-byte-aligned block with room for a
+//     capacity of bits per slice, and the writer sets a new transaction's
+//     bits in place. A full block is replaced by one of twice the capacity,
+//     so building costs amortized O(1) per bit and no allocation per slice.
+//     Freeze() publishes it in O(num_slices) (see the class comment). It
 //     charges the paper's synthetic I/O cost model (util/iomodel.h).
-//   * TailSliceSource — the open tail segment of a snapshot manager: every
-//     slice's words are allocated once, at the segment capacity, and the
-//     writer sets a new transaction's bits in place. Freeze() publishes it
-//     in O(num_slices) (see the class comment).
 //   * MmapSliceSource — zero-copy over the v2 aligned on-disk layout
 //     (docs/FORMATS.md): the sealed index file is mmap'd once and each
 //     slice's word array is served straight from the mapping. The v2 format
 //     64-byte-aligns every slice on disk, so the pointers satisfy the same
-//     cache-line alignment the resident BitVectors guarantee and the kernels
-//     run unmodified. Read-only; memory cost is page-cache residency, which
+//     cache-line alignment the block guarantees and the kernels run
+//     unmodified. Read-only; memory cost is page-cache residency, which
 //     the OS reclaims under pressure — indexes larger than RAM stay
 //     servable.
 //
-// Clone() is how snapshots share sealed segments: resident clones deep-copy,
-// mmap clones share the underlying mapping (shared_ptr), so publishing a
-// snapshot of an mmap'd segment costs O(1) memory. Freeze() is how the
-// writer publishes its tail: a deep copy, except for TailSliceSource.
+// Clone() is how snapshots share sealed segments: a writable block clone
+// copies the words, frozen views and mmap clones share the underlying
+// block or mapping (shared_ptr), so publishing a snapshot costs O(1)
+// memory per sealed segment. Freeze() is how the writer publishes a view
+// that stays valid while it keeps inserting.
 
 #ifndef BBSMINE_CORE_SLICE_SOURCE_H_
 #define BBSMINE_CORE_SLICE_SOURCE_H_
@@ -54,7 +55,7 @@ const char* IndexBackendName(IndexBackend backend);
 /// transaction) in `num_words` 64-bit words. Bits past num_bits in the last
 /// word are zero. The first `stable_words` words are read in place from
 /// `words`; when that is one short of num_words (a published tail view,
-/// see TailSliceSource), the last word is `last` and words[num_words - 1]
+/// see BlockSliceSource), the last word is `last` and words[num_words - 1]
 /// must not be read. Valid only while the owning index is alive.
 struct SliceView {
   using Word = BitVector::Word;
@@ -83,9 +84,6 @@ struct SliceView {
   /// dst[0, num_words) = this slice.
   void CopyTo(Word* dst) const;
 };
-
-class ResidentSliceSource;
-class TailSliceSource;
 
 /// Owner of an index's slice words; see file comment for the backends.
 class SliceSource {
@@ -138,80 +136,44 @@ class SliceSource {
   /// scan). No-op for resident; madvise readahead for mmap.
   virtual void AdviseSequentialScan() const {}
 
-  /// Deep copy for resident, shared mapping for mmap.
+  /// Deep copy of a writable block; a frozen view or a mapping is shared.
   virtual std::unique_ptr<SliceSource> Clone() const = 0;
 
-  /// An immutable copy of the slices as they are now, for publication to
-  /// readers while this source keeps growing. Clone() by default;
-  /// TailSliceSource shares its words instead.
+  /// An immutable view of the slices as they are now, for publication to
+  /// readers while this source keeps growing. Clone() by default (which
+  /// shares a mapping); BlockSliceSource shares its words instead.
   virtual std::unique_ptr<SliceSource> Freeze() const { return Clone(); }
 
-  /// Whether Insert may append to these slices.
+  /// Whether Insert may append to these slices (a BlockSliceSource that is
+  /// not a Freeze() view).
   virtual bool writable() const { return false; }
 
-  /// Bits per slice a writable one-block source holds without moving a
-  /// word (TailSliceSource); 0 for every other source.
+  /// Bits per slice a writable source holds before its next append moves
+  /// the words to a bigger block; 0 for a read-only source.
   virtual size_t append_capacity() const { return 0; }
-
-  /// Downcasts for the mutation paths (Insert, fold / load construction);
-  /// nullptr for the other backends. Both writable backends offer
-  /// AppendZeroBit (grow every slice by one zero bit) and MutableWords.
-  virtual ResidentSliceSource* AsResident() { return nullptr; }
-  virtual TailSliceSource* AsTail() { return nullptr; }
 };
 
-/// Heap-resident backend: one BitVector per slice. Mutable.
-class ResidentSliceSource final : public SliceSource {
- public:
-  explicit ResidentSliceSource(uint32_t num_slices) : slices_(num_slices) {}
-
-  const char* name() const override { return "resident"; }
-  uint32_t num_slices() const override {
-    return static_cast<uint32_t>(slices_.size());
-  }
-  size_t slice_bits() const override {
-    return slices_.empty() ? 0 : slices_[0].size();
-  }
-  size_t words_per_slice() const override {
-    return slices_.empty() ? 0 : slices_[0].num_words();
-  }
-  const Word* Words(uint32_t slice) const override {
-    return slices_[slice].words().data();
-  }
-  size_t ApproxResidentBytes() const override;
-  bool charges_synthetic_io() const override { return true; }
-  std::unique_ptr<SliceSource> Clone() const override;
-  bool writable() const override { return true; }
-  ResidentSliceSource* AsResident() override { return this; }
-
-  void AppendZeroBit() {
-    for (BitVector& slice : slices_) slice.PushBack(false);
-  }
-  Word* MutableWords(uint32_t slice) { return slices_[slice].MutableWords(); }
-
-  BitVector& slice(uint32_t s) { return slices_[s]; }
-
- private:
-  std::vector<BitVector> slices_;
-};
-
-/// Append-stable backend for a mutable tail segment. The words of every
-/// slice are allocated once, `capacity` bits per slice, in one block, and
-/// the writer sets transaction n's bits in place. Appending bit n never
-/// changes a bit below n, so every full word below word n/64 is immutable
-/// once written.
+/// The append-stable in-memory backend. The words of every slice lie in
+/// one block, `capacity` bits per slice, and the writer sets transaction
+/// n's bits in place. Appending bit n never changes a bit below n, so
+/// every full word below word n/64 is immutable once written.
 ///
 /// Freeze() turns that into an O(num_slices) publication: the view shares
 /// the block and reads the full words in place, and it keeps its own copy
 /// of the one partial word per slice (the boundary word), because the
 /// writer may still be setting bits there. When n % 64 == 0 there is no
-/// partial word and the view copies nothing. A view is read-only; the
-/// source it came from keeps accepting inserts up to `capacity`.
-class TailSliceSource final : public SliceSource {
+/// partial word and the view copies nothing. A view is read-only.
+///
+/// Growing keeps that contract: an append at capacity copies each slice's
+/// words into a fresh block of twice the capacity and the writer moves to
+/// it. The old block is never written again, and the views frozen from it
+/// keep it alive.
+class BlockSliceSource final : public SliceSource {
  public:
   /// A writable source of `num_slices` slices holding `bits` zero bits
-  /// each, with room for `capacity` (>= bits).
-  TailSliceSource(uint32_t num_slices, size_t capacity, size_t bits);
+  /// each, with room for `capacity` (>= bits). Capacity 0 allocates no
+  /// block.
+  BlockSliceSource(uint32_t num_slices, size_t capacity, size_t bits);
 
   const char* name() const override { return "resident"; }
   uint32_t num_slices() const override { return num_slices_; }
@@ -234,9 +196,18 @@ class TailSliceSource final : public SliceSource {
   size_t append_capacity() const override {
     return frozen_ ? 0 : block_->capacity;
   }
-  TailSliceSource* AsTail() override { return this; }
 
-  void AppendZeroBit();
+  /// Grows every slice by one zero bit, moving to a block of twice the
+  /// capacity when this one is full.
+  void AppendZeroBit() {
+    if (bits_ == block_->capacity) Reserve(GrownCapacity());
+    ++bits_;
+  }
+
+  /// Moves the words to a block of exactly `capacity` bits per slice when
+  /// that is more than the current capacity; no-op otherwise.
+  void Reserve(size_t capacity);
+
   Word* MutableWords(uint32_t slice) {
     return block_->words + slice * block_->stride;
   }
@@ -250,18 +221,25 @@ class TailSliceSource final : public SliceSource {
     Block& operator=(const Block&) = delete;
 
     void* raw;
-    Word* words;    // 64-byte aligned
+    Word* words;    // 64-byte aligned; null for capacity 0
     size_t stride;  // words per slice, a multiple of 8 (one cache line)
     size_t capacity;
   };
 
-  TailSliceSource(std::shared_ptr<Block> block, uint32_t num_slices,
-                  size_t bits, std::vector<Word> boundary, bool frozen)
+  BlockSliceSource(std::shared_ptr<Block> block, uint32_t num_slices,
+                   size_t bits, std::vector<Word> boundary, bool frozen)
       : block_(std::move(block)),
         num_slices_(num_slices),
         bits_(bits),
         boundary_(std::move(boundary)),
         frozen_(frozen) {}
+
+  /// Twice the capacity, and at least one cache line of bits per slice.
+  size_t GrownCapacity() const;
+
+  /// A block of `capacity` bits per slice holding a copy of the
+  /// words_per_slice() written words of every slice.
+  std::shared_ptr<Block> CopyBlock(size_t capacity) const;
 
   std::shared_ptr<Block> block_;
   uint32_t num_slices_;

@@ -53,7 +53,7 @@ class TidSet {
   size_t AssignIntersection(const TidSet& parent, const BitVector& with,
                             size_t sparse_threshold, uint64_t min_count = 0);
 
-  /// Materializes the positions (works for both representations).
+  /// Appends the positions to `out` (works for both representations).
   void AppendPositions(std::vector<uint32_t>* out) const;
 
   /// Replaces the contents with the given sparse positions (ascending).

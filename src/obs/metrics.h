@@ -109,6 +109,13 @@ inline size_t Log2Bucket(uint64_t v) {
   return v == 0 ? 1 : static_cast<size_t>(std::bit_width(v));
 }
 
+/// Log2Bucket clamped to a DepthHistogram slot: magnitudes past the last
+/// tracked bucket (2^kMaxTrackedDepth and up) go to the overflow slot 0.
+inline size_t Log2Slot(uint64_t v) {
+  const size_t bucket = Log2Bucket(v);
+  return bucket > DepthHistogram::kMaxTrackedDepth ? 0 : bucket;
+}
+
 /// Smallest magnitude mapping to log2 bucket `d` (>= 1): 0 for bucket 1,
 /// 2^(d-1) otherwise.
 inline uint64_t Log2BucketLowerBound(size_t d) {

@@ -131,9 +131,8 @@ class ServiceMetrics {
   /// Records `magnitude` (a latency in microseconds, a batch size) into a
   /// log2-bucketed histogram slot.
   void ObserveLog2(size_t slot, uint64_t magnitude) {
-    size_t bucket = obs::Log2Bucket(magnitude);
-    if (bucket > obs::DepthHistogram::kMaxTrackedDepth) bucket = 0;
-    hist_[slot * kBuckets + bucket].fetch_add(1, std::memory_order_relaxed);
+    hist_[slot * kBuckets + obs::Log2Slot(magnitude)].fetch_add(
+        1, std::memory_order_relaxed);
   }
 
   uint64_t counter(size_t slot) const {

@@ -13,9 +13,8 @@ size_t Snapshot::ApproxResidentBytes() const {
   return total;
 }
 
-size_t Snapshot::CountItemSet(const Itemset& items, IoStats* io,
-                              size_t num_threads) const {
-  return CountSegments(*this, items, io, num_threads);
+size_t Snapshot::CountItemSet(const Itemset& items, IoStats* io) const {
+  return CountSegments(*this, items, io);
 }
 
 SnapshotManager::SnapshotManager(const BbsConfig& config,
@@ -68,10 +67,9 @@ Result<SnapshotManager> SnapshotManager::Adopt(std::vector<BbsIndex> sealed,
       out.sealed_epoch_.push_back(out.epoch_);
     }
     out.num_transactions_ += tail.num_transactions();
-    // A one-block tail with room for a whole segment (SegmentedBbs::Load's
-    // last segment) is adopted as is; anything else — an mmap'd or
-    // BitVector tail, or a smaller block — is copied into append-stable
-    // storage.
+    // A tail block with room for a whole segment (every SegmentedBbs tail,
+    // loaded or built) is adopted as is, so the tail seals at capacity and
+    // never grows; an mmap'd tail or a smaller block is copied into one.
     out.tail_ = std::make_unique<BbsIndex>(
         tail.append_capacity() >= segment_capacity
             ? std::move(tail)

@@ -123,10 +123,8 @@ class Snapshot {
   /// Estimated number of visible transactions containing `items`,
   /// accumulated segment by segment exactly like SegmentedBbs::CountItemSet
   /// (never an underestimate): the itemset is hashed once and counted by
-  /// CountSegments. `num_threads` > 1 counts contiguous segment ranges in
-  /// parallel; the answer and IoStats are identical to the serial pass.
-  size_t CountItemSet(const Itemset& items, IoStats* io = nullptr,
-                      size_t num_threads = 1) const;
+  /// CountSegments.
+  size_t CountItemSet(const Itemset& items, IoStats* io = nullptr) const;
 
  private:
   friend class SnapshotManager;
@@ -158,9 +156,9 @@ class SnapshotManager {
 
   /// Adopts the segments of an existing segmented index (e.g. one loaded
   /// from disk) by move: pass std::move(index) and no slice is copied. The
-  /// open tail stays in place when it is a one-block segment with room for
-  /// a whole segment (SegmentedBbs::Load's last segment) and is copied into
-  /// append-stable storage otherwise. An lvalue argument is copied first.
+  /// open tail stays in place when its block has room for a whole segment
+  /// (as every SegmentedBbs tail has) and is copied into one otherwise. An
+  /// lvalue argument is copied first.
   static Result<SnapshotManager> FromIndex(SegmentedBbs index);
 
   /// Adopts a monolithic BbsIndex (by move, as above) as one sealed

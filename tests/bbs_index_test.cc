@@ -260,20 +260,27 @@ TEST(BbsIndexTest, SaveStreamsTheSerializeImageAndLoadSegmentMatchesLoad) {
 
   Result<BbsIndex> resident = BbsIndex::Load(path);
   uint32_t loaded_crc = 0;
-  Result<BbsIndex> block = BbsIndex::LoadSegment(path, 4000, &loaded_crc);
+  Result<BbsIndex> block = BbsIndex::Load(path, 4000, &loaded_crc);
   ASSERT_TRUE(resident.ok() && block.ok());
   EXPECT_EQ(loaded_crc, file_crc);
   EXPECT_TRUE(*resident == bbs);
   EXPECT_TRUE(*block == bbs);
   EXPECT_EQ(block->append_capacity(), 4000u);
-  EXPECT_EQ(resident->append_capacity(), 0u);
-  // The block takes inserts in place and stays equal to the original.
+  // Without a capacity the block holds exactly the file's transactions.
+  EXPECT_EQ(resident->append_capacity(), db.size());
+  // The block takes inserts in place and stays equal to the original; the
+  // exact one moves to a block of twice its capacity.
   for (size_t t = 0; t < 50; ++t) {
     block->Insert(db.At(t).items);
+    resident->Insert(db.At(t).items);
     bbs.Insert(db.At(t).items);
   }
   EXPECT_TRUE(*block == bbs);
+  EXPECT_TRUE(*resident == bbs);
+  EXPECT_EQ(block->append_capacity(), 4000u);
+  EXPECT_EQ(resident->append_capacity(), 2 * db.size());
   EXPECT_EQ(block->CountItemSet({1, 2}), bbs.CountItemSet({1, 2}));
+  EXPECT_EQ(resident->CountItemSet({1, 2}), bbs.CountItemSet({1, 2}));
   std::remove(path.c_str());
 }
 

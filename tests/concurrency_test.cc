@@ -4,9 +4,9 @@
 //    once (no shared mutable scratch) — checked by hammering one shared
 //    index and comparing against golden single-threaded answers. Run under
 //    -DBBSMINE_SANITIZE=thread to make data races hard errors.
-//  * SegmentedBbs counting and the full mining engine must produce results
-//    identical to their serial runs at any thread count (the determinism
-//    guarantee documented in MineConfig::num_threads).
+//  * The full mining engine must produce results identical to its serial
+//    run at any thread count (the determinism guarantee documented in
+//    MineConfig::num_threads).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "core/adhoc.h"
 #include "core/bbs_index.h"
 #include "core/miner.h"
-#include "core/segmented_bbs.h"
 #include "testing/reference.h"
 #include "util/thread_pool.h"
 
@@ -127,33 +126,6 @@ TEST(ConcurrencyTest, ConstrainedCountAndSliceAndAreThreadSafe) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ConcurrencyTest, SegmentedCountsMatchSerialAtAnyThreadCount) {
-  TransactionDatabase db = testing::RandomDb(5, 600, 40, 6.0);
-  BbsConfig config;
-  config.num_bits = 96;
-  config.num_hashes = 3;
-  auto bbs = SegmentedBbs::Create(config, 64);
-  ASSERT_TRUE(bbs.ok());
-  for (size_t t = 0; t < db.size(); ++t) {
-    ASSERT_TRUE(bbs->Insert(db.At(t).items).ok());
-  }
-  ASSERT_GT(bbs->num_segments(), 4u);
-
-  for (const Itemset& items : QueryMix(db.item_universe())) {
-    IoStats serial_io;
-    size_t serial = bbs->CountItemSet(items, &serial_io);
-    std::vector<size_t> serial_per = bbs->CountPerSegment(items);
-    for (size_t threads : {2u, 4u, 8u}) {
-      IoStats parallel_io;
-      EXPECT_EQ(bbs->CountItemSet(items, &parallel_io, threads), serial);
-      // The I/O charge is merged per segment, so it is thread-invariant.
-      EXPECT_EQ(parallel_io.sequential_reads, serial_io.sequential_reads);
-      EXPECT_EQ(parallel_io.random_reads, serial_io.random_reads);
-      EXPECT_EQ(bbs->CountPerSegment(items, threads), serial_per);
-    }
-  }
 }
 
 using MineParam = std::tuple<Algorithm, uint64_t /*memory budget*/>;

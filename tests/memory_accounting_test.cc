@@ -6,7 +6,8 @@
 //   * SnapshotManager::FromIndex(std::move(loaded)) adopts those blocks, so
 //     the gauges count one copy of the slices;
 //   * a loaded last segment takes inserts in place up to its capacity and
-//     then seals, with counts bit-identical to a monolithic BbsIndex;
+//     then seals, with counts bit-identical to a monolithic BbsIndex; the
+//     segment opened after it is a block of segment capacity too;
 //   * on a fixed workload against a real bbsmined the gauges sum to at most
 //     the process's RssAnon and to at least 70 % of it.
 
@@ -180,6 +181,26 @@ TEST(MemoryAccountingTest, LoadedTailFillsInPlaceThenSeals) {
   EXPECT_EQ(replayed->segment(2).num_transactions(), kCapacity);
   for (const Itemset& items : queries) {
     ASSERT_EQ(replayed->CountItemSet(items), oracle.CountItemSet(items));
+  }
+  // The segment replay opened is a block of segment capacity, which
+  // FromIndex adopts as the tail without copying a word.
+  const BbsIndex& fourth = replayed->segment(3);
+  EXPECT_EQ(fourth.num_transactions(), 50u);
+  EXPECT_EQ(fourth.append_capacity(), kCapacity);
+  const uint64_t* fourth_words = fourth.Slice(0).words;
+  Result<SnapshotManager> adopted =
+      SnapshotManager::FromIndex(std::move(*replayed));
+  ASSERT_TRUE(adopted.ok());
+  const uint64_t bits = SmallConfig().num_bits;
+  // One block, plus the published view's boundary word per slice (50 is
+  // not a multiple of 64).
+  EXPECT_EQ(adopted->Memory().tail_slices,
+            bits * StrideBytes(kCapacity) + bits * sizeof(uint64_t));
+  const service::Snapshot snap = adopted->Acquire();
+  ASSERT_EQ(snap.num_segments(), 4u);
+  EXPECT_EQ(snap.segment(3).Slice(0).words, fourth_words);
+  for (const Itemset& items : queries) {
+    ASSERT_EQ(snap.CountItemSet(items), oracle.CountItemSet(items));
   }
 }
 

@@ -214,6 +214,16 @@ TEST(Log2BucketTest, BoundaryMapping) {
   }
 }
 
+TEST(Log2BucketTest, SlotClampsPastTheLastBucketToOverflow) {
+  // Log2Slot is Log2Bucket up to bucket kMaxTrackedDepth (32) and the
+  // overflow slot 0 from 2^32 up.
+  EXPECT_EQ(Log2Slot(0), 1u);
+  EXPECT_EQ(Log2Slot(5), Log2Bucket(5));
+  EXPECT_EQ(Log2Slot((uint64_t{1} << 32) - 1), 32u);
+  EXPECT_EQ(Log2Slot(uint64_t{1} << 32), 0u);
+  EXPECT_EQ(Log2Slot(~uint64_t{0}), 0u);
+}
+
 // Bucket layout used by the estimator tests: MetricSample order, [0] =
 // overflow, [d] = log2 bucket d.
 std::vector<uint64_t> EmptyBuckets() {

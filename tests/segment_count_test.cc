@@ -5,9 +5,9 @@
 // transaction count is not a multiple of 64 — Snapshot::CountItemSet,
 // SegmentedBbs::CountItemSet and CountScheduler::Count must return the sum
 // of per-segment BbsIndex::CountItemSet counts and charge exactly the sum
-// of their IoStats, serially and split over several threads. One query's
-// signature is longer than kInlinePositions, so the heap fallback of the
-// per-segment tables runs too.
+// of their IoStats, the scheduler also with a query's segments split over
+// several threads. One query's signature is longer than kInlinePositions,
+// so the heap fallback of the per-segment tables runs too.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -135,24 +135,20 @@ TEST_F(SegmentCountTest, SnapshotAndSegmentedCountEqualTheSegmentSum) {
   const service::Snapshot snap = manager_->Acquire();
   std::vector<Itemset> queries = Queries();
   queries.push_back({});  // every transaction
-  for (size_t threads : {1, 3}) {
-    for (const Itemset& items : queries) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + ", " +
-                   std::to_string(items.size()) + " items");
-      const Expected want_snap = SumOfSegments(snap, items);
-      IoStats io;
-      EXPECT_EQ(snap.CountItemSet(items, &io, threads), want_snap.count);
-      EXPECT_EQ(io, want_snap.io);
-      if (!items.empty()) {
-        EXPECT_GT(io.slice_words_touched, 0u);
-      }
-
-      const Expected want_mixed = SumOfSegments(*mixed_, items);
-      IoStats mixed_io;
-      EXPECT_EQ(mixed_->CountItemSet(items, &mixed_io, threads),
-                want_mixed.count);
-      EXPECT_EQ(mixed_io, want_mixed.io);
+  for (const Itemset& items : queries) {
+    SCOPED_TRACE(std::to_string(items.size()) + " items");
+    const Expected want_snap = SumOfSegments(snap, items);
+    IoStats io;
+    EXPECT_EQ(snap.CountItemSet(items, &io), want_snap.count);
+    EXPECT_EQ(io, want_snap.io);
+    if (!items.empty()) {
+      EXPECT_GT(io.slice_words_touched, 0u);
     }
+
+    const Expected want_mixed = SumOfSegments(*mixed_, items);
+    IoStats mixed_io;
+    EXPECT_EQ(mixed_->CountItemSet(items, &mixed_io), want_mixed.count);
+    EXPECT_EQ(mixed_io, want_mixed.io);
   }
 }
 

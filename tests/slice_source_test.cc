@@ -224,9 +224,9 @@ TEST(SliceSourceTest, ApproxResidentBytes) {
   std::remove(path.c_str());
 }
 
-// Materialize copies an mmap'd index to heap slices, bit-identical; the
+// ToTail copies an mmap'd index into a resident block, bit-identical; the
 // copy constructor of an mmap-backed index shares the mapping instead.
-TEST(SliceSourceTest, MaterializeAndCopySemantics) {
+TEST(SliceSourceTest, ToTailAndCopySemantics) {
   TransactionDatabase db = testing::RandomDb(25, 250, 16, 4.0);
   auto built = BbsIndex::Create(SmallConfig());
   ASSERT_TRUE(built.ok());
@@ -238,8 +238,9 @@ TEST(SliceSourceTest, MaterializeAndCopySemantics) {
   ASSERT_TRUE(resident.ok());
   ASSERT_TRUE(mapped.ok());
 
-  BbsIndex materialized = mapped->Materialize();
+  BbsIndex materialized = mapped->ToTail(0);
   EXPECT_TRUE(materialized.resident());
+  EXPECT_EQ(materialized.append_capacity(), db.size());
   EXPECT_TRUE(materialized == *resident);
   for (size_t pos = 0; pos < db.size(); ++pos) {
     ASSERT_EQ(materialized.SignatureBits(pos), resident->SignatureBits(pos));

@@ -2,14 +2,19 @@
 // that shares the writer's slice words (see service/snapshot.h). These
 // tests pin that the view answers exactly like an index built fresh from
 // the same prefix — at every word and segment boundary, and long after the
-// writer has moved on — that consecutive views really share the words, and
+// writer has moved on — that consecutive views really share the words,
+// that views stay exact while the writer grows its block under them, and
 // that checkpoints written from views keep their on-disk bytes.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/segmented_bbs.h"
@@ -180,6 +185,91 @@ TEST(TailPublicationTest, ConsecutiveSnapshotsShareTailWords) {
           << "slice " << p << " at n = " << t + 1;
     }
     previous = current;
+  }
+}
+
+TEST(TailPublicationTest, FrozenViewsStayExactWhileTheBlockGrows) {
+  // A writable index created without a block grows it while a reader
+  // thread counts on Freeze() views: 0 -> 512 -> 1024 -> 2048 -> 4096 bits
+  // per slice. Each view reads the block it was frozen from, which the
+  // writer copies once and never writes again.
+  constexpr size_t kTotal = 3000;
+  const std::vector<Itemset> queries = Queries();
+  // prefix_counts[q][n]: the oracle count of query q over the first n
+  // transactions, from one index built at its exact size (it never grows).
+  BbsIndex oracle = BbsIndex::Create(TailConfig()).value().ToTail(kTotal);
+  for (size_t t = 0; t < kTotal; ++t) oracle.Insert(TailTransaction(t));
+  ASSERT_EQ(oracle.append_capacity(), kTotal);
+  std::vector<std::vector<size_t>> prefix_counts(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    BitVector match;
+    oracle.CountItemSet(queries[q], &match);
+    prefix_counts[q].push_back(0);
+    for (size_t t = 0; t < kTotal; ++t) {
+      prefix_counts[q].push_back(prefix_counts[q].back() + match.Get(t));
+    }
+  }
+
+  std::mutex mu;
+  std::shared_ptr<const BbsIndex> latest;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> views_checked{0};
+  std::atomic<size_t> mismatches{0};
+  std::thread reader([&] {
+    for (bool last = false; !last;) {
+      last = done.load(std::memory_order_acquire);
+      std::shared_ptr<const BbsIndex> view;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        view = latest;
+      }
+      if (view == nullptr) continue;
+      const size_t n = view->num_transactions();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        if (view->CountItemSet(queries[q]) != prefix_counts[q][n]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      views_checked.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  BbsIndex writer = BbsIndex::Create(TailConfig()).value();
+  EXPECT_EQ(writer.append_capacity(), 0u);
+  std::vector<uint64_t> capacities;
+  std::vector<std::shared_ptr<const BbsIndex>> held;
+  for (size_t t = 0; t < kTotal; ++t) {
+    writer.Insert(TailTransaction(t));
+    if (capacities.empty() || writer.append_capacity() != capacities.back()) {
+      capacities.push_back(writer.append_capacity());
+    }
+    auto view = std::make_shared<const BbsIndex>(writer.Freeze());
+    // Views frozen just before and just after each growth, and at a word
+    // boundary inside a block.
+    const size_t n = t + 1;
+    if (n == 511 || n == 512 || n == 513 || n == 1025 || n == 2048 ||
+        n == 2100) {
+      held.push_back(view);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    latest = std::move(view);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(views_checked.load(), 0u);
+  EXPECT_EQ(capacities, (std::vector<uint64_t>{512, 1024, 2048, 4096}));
+
+  // Long after the writer moved on, every held view still equals an index
+  // built fresh from its prefix, byte for byte.
+  for (const auto& view : held) {
+    BbsIndex fresh = BbsIndex::Create(TailConfig()).value();
+    for (size_t t = 0; t < view->num_transactions(); ++t) {
+      fresh.Insert(TailTransaction(t));
+    }
+    ExpectSameSegment(*view, fresh,
+                      "held view at n = " +
+                          std::to_string(view->num_transactions()));
   }
 }
 
