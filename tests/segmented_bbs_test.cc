@@ -36,6 +36,20 @@ TEST(SegmentedBbsTest, CreateValidates) {
   EXPECT_TRUE(SegmentedBbs::Create(SmallConfig(), 100).ok());
 }
 
+// A segment opens as one block of its capacity. A capacity whose block
+// size would wrap a size_t fails with a status instead of opening a small
+// block that inserts would write past.
+TEST(SegmentedBbsTest, OversizedCapacityFailsCleanly) {
+  BbsConfig config;
+  config.num_bits = 1600;
+  config.num_hashes = 4;
+  for (uint64_t capacity : {uint64_t{1} << 61, ~uint64_t{0}}) {
+    auto bbs = SegmentedBbs::Create(config, capacity);
+    ASSERT_FALSE(bbs.ok()) << capacity;
+    EXPECT_EQ(bbs.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
 TEST(SegmentedBbsTest, SegmentsRollOverAtCapacity) {
   auto bbs = SegmentedBbs::Create(SmallConfig(), 10);
   ASSERT_TRUE(bbs.ok());

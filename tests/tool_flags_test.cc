@@ -107,6 +107,19 @@ TEST(ToolFlagsTest, MalformedNumbersExitTwo) {
   }
 }
 
+// A segment opens as one block of its capacity, so the capacity is capped
+// like any count a tool casts to 32 bits.
+TEST(ToolFlagsTest, OversizedSegmentCapacityExitsTwo) {
+  for (const std::string& command :
+       {std::string(BBSMINED_BIN) + " --segment-capacity 4294967296",
+        std::string(BBSMINE_BIN) +
+            " build --db x.db --out x --segment-capacity 4294967296"}) {
+    std::string out;
+    EXPECT_EQ(RunCommand(command, &out), 2) << command << ": " << out;
+    EXPECT_NE(out.find("segment-capacity"), std::string::npos) << out;
+  }
+}
+
 TEST(ToolDocsTest, DaemonFlagsMatchServiceDoc) {
   EXPECT_EQ(DocTableFlags("docs/SERVICE.md", "## Daemon flags"),
             HelpFlags(BBSMINED_BIN));

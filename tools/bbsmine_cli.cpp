@@ -708,7 +708,8 @@ const FlagSpec kBuildFlags[] = {
     {"hash", kString, "md5", "md5 | mult | mod"},
     {"seed", kUint, "0", "hash seed"},
     {"segment-capacity", kUint, "0",
-     "> 0: segmented index (OUT.manifest), the format bbsmined serves"},
+     "> 0: segmented index (OUT.manifest), the format bbsmined serves",
+     0, kUint32FlagMax},
 };
 
 const FlagSpec kStatsFlags[] = {kDbFlag, kIndexFlag};

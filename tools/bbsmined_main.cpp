@@ -96,7 +96,8 @@ const FlagSpec kFlags[] = {
     {"bits", kUint, "1600", "bits when no --index (empty index)",
      0, kUint32FlagMax},
     {"hashes", kUint, "4", "hashes when no --index", 0, kUint32FlagMax},
-    {"segment-capacity", kUint, "4096", "transactions per segment", 1},
+    {"segment-capacity", kUint, "4096", "transactions per segment",
+     1, kUint32FlagMax},
     {"index-backend", kString, "resident",
      "resident | mmap (v2 index served in place; not with --durable-dir)"},
     {"compact-cold-epochs", kUint, "0",
